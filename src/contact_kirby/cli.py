@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
 )
-from .exact import det
+from .exact import continuants
 from .kirby import CandidateReport, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
@@ -31,6 +32,7 @@ from .presentation import (
     evaluate_cf,
     expand_negative,
     linking_matrix,
+    slid_diagonal,
 )
 from .transform import bennequin, invariants_after_surgery
 
@@ -89,13 +91,16 @@ def _component_doc(comp) -> dict:
     }
 
 
+def _determinant(pres: Presentation) -> int:
+    return continuants(slid_diagonal(pres))[0]
+
+
 def _presentation_doc(pres: Presentation) -> dict:
-    matrix = linking_matrix(pres)
     return {
         "signs": pres.signs_string,
         "components": [_component_doc(c) for c in pres.components],
-        "linking_matrix": [list(row) for row in matrix.entries],
-        "determinant": det(matrix),
+        "linking_matrix": [list(row) for row in linking_matrix(pres).entries],
+        "determinant": _determinant(pres),
     }
 
 
@@ -167,8 +172,11 @@ def _diagram_from_args(args):
         if not isinstance(knot_doc, dict) or knot_doc.get("type") != "unknot":
             raise InvalidInputError('diagram document needs knot {"type": "unknot", ...}')
         tb, rot = knot_doc.get("tb"), knot_doc.get("rot")
-        if not isinstance(tb, int) or not isinstance(rot, int):
-            raise InvalidInputError("knot tb and rot must be integers")
+        for field, value in (("tb", tb), ("rot", rot)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidInputError(
+                    f"knot {field} must be an integer, got {json.dumps(value)}"
+                )
         coefficient = parse_rational(raw.get("coefficient"))
         signs_text = raw.get("signs")
         if signs_text is not None and not isinstance(signs_text, str):
@@ -349,7 +357,7 @@ def _print_presentation_text(idx, total, pres) -> None:
     width = max(len(str(x)) for row in matrix.entries for x in row)
     for row in matrix.entries:
         print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    print(f"  determinant: {det(matrix)}")
+    print(f"  determinant: {_determinant(pres)}")
 
 
 def _print_report_text(report: CandidateReport) -> None:
@@ -485,7 +493,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``): what it read is all it wanted.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ integer minor of the input, each division is exact, and Python's
 arbitrary-precision integers absorb the entry growth.  The cofactor
 expansion route is deliberately *not* implemented here; it lives in the
 test suite as an independent oracle.
+
+Tridiagonal matrices whose off-diagonal entries are +/-1 need none of
+that: :func:`continuants` gets every trailing minor from a three-term
+integer recurrence in linear time.
 """
 
 from __future__ import annotations
@@ -104,18 +108,20 @@ class RationalMatrix:
         return f"RationalMatrix({[list(row) for row in self.entries]})"
 
 
-def det(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _eliminate(a: list, n: int) -> int:
+    """Fraction-free (Bareiss) forward pass over the first n columns of ``a``.
 
-    After step k every entry is a (k+1)x(k+1) minor of the input, so the
-    division by the previous pivot is exact and everything stays an
-    integer.  Row swaps only flip the sign.
+    ``a`` is a list of n integer rows, possibly wider than n (``[M | I]``);
+    it is reduced in place to upper-triangular form.  After step k every
+    entry is a (k+1)x(k+1) minor of the input, so the division by the
+    previous pivot is exact and everything stays an integer.  Returns the
+    sign of the row permutation used, or 0 when some column has no
+    nonzero pivot (the leading n x n block is singular).
     """
-    n = matrix.n
-    a = [list(row) for row in matrix.entries]
+    width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -125,15 +131,26 @@ def det(matrix: IntMatrix) -> int:
             else:
                 return 0
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            lead = a[i][k]
             row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
+            lead = row_i[k]
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign
+
+
+def det(matrix: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    The last pivot of the elimination is the determinant up to the sign
+    of the row swaps.
+    """
+    n = matrix.n
+    a = [list(row) for row in matrix.entries]
+    return _eliminate(a, n) * a[n - 1][n - 1]
 
 
 def invert(matrix: IntMatrix) -> RationalMatrix:
@@ -150,24 +167,8 @@ def invert(matrix: IntMatrix) -> RationalMatrix:
         list(row) + [1 if i == j else 0 for j in range(n)]
         for i, row in enumerate(matrix.entries)
     ]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular, no inverse exists")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            lead = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+    if _eliminate(a, n) == 0:
+        raise SingularMatrixError("matrix is singular, no inverse exists")
 
     columns = []
     for c in range(n, width):
@@ -186,6 +187,23 @@ def invert(matrix: IntMatrix) -> RationalMatrix:
     return RationalMatrix(
         [[columns[j][i] for j in range(n)] for i in range(n)]
     )
+
+
+def continuants(diagonal: Sequence[int]) -> IntVector:
+    """Trailing continuants of a tridiagonal matrix whose off-diagonal squares are 1.
+
+    For diagonal ``(a_1, ..., a_n)`` this returns ``(theta_1, ..., theta_n,
+    theta_{n+1})`` with ``theta_{n+1} = 1``, ``theta_{n+2} = 0`` and
+    ``theta_k = a_k * theta_{k+1} - theta_{k+2}``: ``theta_k`` is the
+    determinant of the trailing block on rows and columns k..n, so
+    ``theta_1`` is the determinant of the whole matrix.  Integer
+    arithmetic only, no division, so a zero in the middle of the
+    sequence needs no pivoting.
+    """
+    thetas = [0, 1]  # theta_{n+2}, theta_{n+1}, then built back to front
+    for a in reversed(diagonal):
+        thetas.append(a * thetas[-1] - thetas[-2])
+    return tuple(reversed(thetas[1:]))
 
 
 def apply(matrix, vector: Sequence[Scalar]) -> tuple:

@@ -287,6 +287,25 @@ def linking_matrix(presentation: Presentation) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def slid_diagonal(presentation: Presentation) -> tuple:
+    """Diagonal of the linking matrix after sliding each component over its predecessor.
+
+    The handle slides P (row i of P is e_i - e_{i-1}) turn M, whose
+    off-diagonal entries are tb[min(i, j)], into the tridiagonal matrix
+    P M P^T of the same determinant.  With t_i the tb and s_i the contact
+    sign of component i (1-based, t_0 = s_0 = 0), its diagonal entries are
+    (t_i - t_{i-1}) + s_i + s_{i-1} and the entry between components i and
+    i + 1 is -s_i, whose square is 1.
+    """
+    diagonal = []
+    tb_prev = sign_prev = 0
+    for comp in presentation.components:
+        tb, sign = comp.knot.tb, comp.contact_sign
+        diagonal.append(tb - tb_prev + sign + sign_prev)
+        tb_prev, sign_prev = tb, sign
+    return tuple(diagonal)
+
+
 def linking_vector(presentation: Presentation, ext: ExternalKnot) -> tuple:
     """Linking numbers of the external knot with every component.
 

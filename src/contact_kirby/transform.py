@@ -8,9 +8,32 @@ components' rotation numbers:
     rot_new(K0) = rot(K0) - <C, M^-1 L>
     tb_new(K0)  = tb(K0)  - <L, M^-1 L>
 
-Everything is computed in exact rational arithmetic.  The results are
-only honest integers when they are integral rationals (always the case
-when |det M| = 1); a non-integral outcome raises instead of rounding.
+M is never inverted.  Sliding each component over its predecessor (the
+handle slides P, row i of P equal to e_i - e_{i-1}) makes P M P^T
+tridiagonal: the linear plumbing of the lens space that the surgery
+produces.  With t_i, s_i and r_i the tb, contact sign and rot of
+component i (1-based, all zero at i = 0), its diagonal is
+a_i = (t_i - t_{i-1}) + s_i + s_{i-1} and its off-diagonal entries are
+-s_i, whose square is 1.  The trailing continuants
+
+    theta_{n+1} = 1,  theta_{n+2} = 0,  theta_k = a_k theta_{k+1} - theta_{k+2}
+
+give det M = theta_1.  Every entry of L is the same linking number lk,
+so P L = lk e_1 and
+
+    <L, M^-1 L> = lk^2 theta_2 / theta_1
+    <C, M^-1 L> = lk sum_k (r_k - r_{k-1}) (s_1 ... s_{k-1}) theta_{k+1} / theta_1
+
+Every numerator is an integer and the only division is the final
+reduction by theta_1, so a zero continuant part-way along the chain (at
+a (+1) component) needs no pivoting, and theta_1 = 0 means M is
+singular.  The solve is linear in the number of components; the dense
+Bareiss inverse of :mod:`exact` stays the general path and the
+cross-check in the tests.
+
+The results are only honest integers when they are integral rationals
+(always the case when |det M| = 1); a non-integral outcome raises
+instead of rounding.
 
 For the special case where K0 is the topological framing unknot of a
 topologically (+/-1)-framed surgery knot, the tb shift is also known on
@@ -25,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, NonIntegralInvariantError
-from .exact import apply, inner, invert
+from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
+from .exact import continuants
 from .legendrian import ExternalKnot
-from .presentation import Presentation, linking_matrix, linking_vector, rot_vector
+from .presentation import Presentation, slid_diagonal
 
 
 @dataclass(frozen=True)
@@ -62,37 +85,47 @@ def _require_integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _solve(presentation: Presentation, ext: ExternalKnot) -> tuple:
+    """Exact (tb_new, rot_new) as Fractions, before any integrality check."""
+    thetas = continuants(slid_diagonal(presentation))
+    det = thetas[0]
+    if det == 0:
+        raise SingularMatrixError("matrix is singular, no inverse exists")
+    lk = ext.lk_with_original
+    pairing = 0  # <C, M^-1 L> = lk * pairing / det
+    rot_prev = 0
+    signs = 1
+    for comp, theta in zip(presentation.components, thetas[1:]):
+        pairing += (comp.knot.rot - rot_prev) * signs * theta
+        rot_prev = comp.knot.rot
+        signs *= comp.contact_sign
+    tb_new = Fraction(ext.knot.tb * det - lk * lk * thetas[1], det)
+    rot_new = Fraction(ext.knot.rot * det - lk * pairing, det)
+    return tb_new, rot_new
+
+
 def rot_after_surgery(presentation: Presentation, ext: ExternalKnot) -> int:
     """rot(K0) - <C, M^-1 L>, exactly."""
-    minv = invert(linking_matrix(presentation))
-    solved = apply(minv, linking_vector(presentation, ext))
-    value = Fraction(ext.knot.rot) - inner(rot_vector(presentation), solved)
-    return _require_integral(value, "rotation number")
+    return _require_integral(_solve(presentation, ext)[1], "rotation number")
 
 
 def tb_after_surgery(presentation: Presentation, ext: ExternalKnot) -> int:
     """tb(K0) - <L, M^-1 L>, exactly."""
-    minv = invert(linking_matrix(presentation))
-    link = linking_vector(presentation, ext)
-    value = Fraction(ext.knot.tb) - inner(link, apply(minv, link))
-    return _require_integral(value, "Thurston-Bennequin number")
+    return _require_integral(
+        _solve(presentation, ext)[0], "Thurston-Bennequin number"
+    )
 
 
 def invariants_after_surgery(
     presentation: Presentation, ext: ExternalKnot
 ) -> PostSurgeryInvariants:
     """Both post-surgery invariants from a single exact solve."""
-    minv = invert(linking_matrix(presentation))
-    link = linking_vector(presentation, ext)
-    solved = apply(minv, link)
-    tb_new = _require_integral(
-        Fraction(ext.knot.tb) - inner(link, solved), "Thurston-Bennequin number"
+    tb_new, rot_new = _solve(presentation, ext)
+    return PostSurgeryInvariants(
+        _require_integral(tb_new, "Thurston-Bennequin number"),
+        _require_integral(rot_new, "rotation number"),
+        True,
     )
-    rot_new = _require_integral(
-        Fraction(ext.knot.rot) - inner(rot_vector(presentation), solved),
-        "rotation number",
-    )
-    return PostSurgeryInvariants(tb_new, rot_new, True)
 
 
 def framing_unknot_tb_shift(topological_sign: int, tb0: int) -> int:

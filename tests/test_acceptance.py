@@ -37,6 +37,7 @@ from contact_kirby.transform import (
 from oracles import adjugate_inverse, chain_family_inverse, chain_family_matrix
 
 M_MAX = 50
+M_MAX_BRANCHES = 400
 FRAMING_UNKNOT = LegendrianUnknot(-1, 0)
 
 
@@ -106,6 +107,24 @@ def test_criterion_4_decrease_family():
     assert zero.verdicts[0].status == OVERTWISTED_CERTIFIED
     for m in range(1, M_MAX + 1):
         assert not classify(gate(m, m - 1)).survives
+
+
+@criterion("2-4", "branch invariants and survivors of C2 and C1, m <= 400")
+def test_criteria_2_to_4_branches_to_m_400():
+    for m in range(1, M_MAX_BRANCHES + 1):
+        report = classify(gate(m, m + 1))
+        got = {v.signs_string: (v.tb_new, v.rot_new) for v in report.verdicts}
+        assert got == {"+": (-2, 2 * m - 1), "-": (-2, -1)}
+        survivors = [
+            v.signs_string
+            for v in report.verdicts
+            if v.status == CONSISTENT_WITH_STANDARD_TIGHT
+        ]
+        assert survivors == (["+", "-"] if m == 1 else ["-"])
+        if m >= 2:
+            report = classify(gate(m, m - 1))
+            assert all(v.tb_new == 0 for v in report.verdicts)
+            assert not report.survives
 
 
 @criterion(5, "m = 1 exceptional diagram: both branches survive")

@@ -1,7 +1,11 @@
 """CLI integration: documents, determinism, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,21 @@ class TestConvert:
         assert code == 2
         assert "--input" in err
 
+    def test_input_file_rejects_boolean_tb_and_rot(self, tmp_path, capsys):
+        path = tmp_path / "diagram.json"
+        for field, knot in (
+            ("rot", {"tb": -1, "rot": False}),
+            ("tb", {"tb": True, "rot": 0}),
+        ):
+            knot = dict(knot, type="unknot")
+            path.write_text(
+                json.dumps({"knot": knot, "coefficient": "-2"}), encoding="utf-8"
+            )
+            code, out, err = run_cli(capsys, "convert", "--input", str(path))
+            assert code == 2
+            assert out == ""
+            assert f"knot {field} must be an integer" in err
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "convert", "--input", "/nonexistent.json")
         assert code == 2
@@ -360,3 +379,29 @@ class TestContract:
     def test_unknown_command_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+    def test_closed_stdout_exits_zero_without_traceback(self):
+        # like `contact-kirby convert ... | head -1`; the output (2048
+        # presentations) is far larger than a pipe buffer, so the child is
+        # still writing when the reader closes its end
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable, "-c", "from contact_kirby.cli import entry; entry()",
+                "convert", "--tb", "-1", "--rot", "0", "--coeff", "-12",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert child.stdout.readline() == b"{\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 0
+        assert err == b""

@@ -10,6 +10,7 @@ from contact_kirby.exact import (
     IntMatrix,
     RationalMatrix,
     apply,
+    continuants,
     det,
     inner,
     invert,
@@ -196,3 +197,26 @@ class TestMatrixTypes:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             IntMatrix([])
+
+
+class TestContinuants:
+    def test_trailing_minors_of_random_tridiagonals(self):
+        rng = random.Random(3571)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(-4, 4)
+            for i in range(n - 1):
+                rows[i][i + 1] = rows[i + 1][i] = rng.choice((1, -1))
+            thetas = continuants([rows[i][i] for i in range(n)])
+            assert len(thetas) == n + 1
+            assert thetas[n] == 1
+            for k in range(n):
+                assert thetas[k] == cofactor_det([row[k:] for row in rows[k:]])
+
+    def test_zero_continuant_mid_chain(self):
+        # theta_2 = 1 * 1 - 1 = 0: a solve dividing by it would need a pivot
+        assert continuants((5, 1, 1)) == (-1, 0, 1, 1)
+        assert det(IntMatrix([[5, 1, 0], [1, 1, 1], [0, 1, 1]])) == -1
+        assert continuants((0,)) == (0, 1)

@@ -22,6 +22,7 @@ from contact_kirby.presentation import (
     linking_vector,
     mirror,
     rot_vector,
+    slid_diagonal,
     stabilization_budget,
 )
 
@@ -249,6 +250,35 @@ class TestLinkingData:
             pres = convert(k, r, signs)
             expected = abs(r.numerator + r.denominator * k.tb)
             assert abs(det(linking_matrix(pres))) == expected
+
+    def test_handle_slides_make_the_matrix_tridiagonal(self):
+        rng = random.Random(2718)
+        for _ in range(150):
+            k = random_valid_unknot(rng)
+            num = rng.randint(-20, 20)
+            den = rng.randint(1, 10)
+            if num == 0:
+                continue
+            r = Fraction(num, den)
+            signs = [rng.choice((1, -1)) for _ in range(stabilization_budget(r))]
+            pres = convert(k, r, signs)
+            m = linking_matrix(pres).entries
+            n = len(m)
+            # row i of P is e_i - e_{i-1}: slide component i over i - 1
+            p = [[int(i == j) - int(i == j + 1) for j in range(n)] for i in range(n)]
+            slid = [
+                [
+                    sum(p[i][a] * m[a][b] * p[j][b] for a in range(n) for b in range(n))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            expected = [[0] * n for _ in range(n)]
+            for i, a in enumerate(slid_diagonal(pres)):
+                expected[i][i] = a
+            for i, comp in enumerate(pres.components[:-1]):
+                expected[i][i + 1] = expected[i + 1][i] = -comp.contact_sign
+            assert slid == expected
 
     def test_linking_vector(self):
         k = LegendrianUnknot(-3, -2)

@@ -10,6 +10,7 @@ from contact_kirby.errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
 )
+from contact_kirby.exact import apply, continuants, det, inner, invert
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
     convert,
@@ -18,6 +19,7 @@ from contact_kirby.presentation import (
     linking_vector,
     mirror,
     rot_vector,
+    slid_diagonal,
     stabilization_budget,
 )
 from contact_kirby.transform import (
@@ -197,3 +199,83 @@ class TestBundledInvariants:
                 bennequin(flipped.tb_new, flipped.rot_new).satisfied
                 == bennequin(base.tb_new, base.rot_new).satisfied
             )
+
+
+def random_unknot(rng):
+    tb = -rng.randint(1, 6)
+    return LegendrianUnknot(tb, tb + 1 + 2 * rng.randint(0, -tb - 1))
+
+
+def dense_solve(pres, ext):
+    """(tb_new, rot_new) as exact Fractions from the dense inverse."""
+    link = linking_vector(pres, ext)
+    solved = apply(invert(linking_matrix(pres)), link)
+    return (
+        ext.knot.tb - inner(link, solved),
+        ext.knot.rot - inner(rot_vector(pres), solved),
+    )
+
+
+def oracle_solve(pres, ext):
+    """(tb_new, rot_new) from plain Fraction Gaussian elimination."""
+    link = linking_vector(pres, ext)
+    rows = [list(r) for r in linking_matrix(pres).entries]
+    solved = gauss_solve(rows, link)
+    return (
+        ext.knot.tb - sum(l * x for l, x in zip(link, solved)),
+        ext.knot.rot - sum(c * x for c, x in zip(rot_vector(pres), solved)),
+    )
+
+
+def expected_outcome(value):
+    return int(value) if value.denominator == 1 else (NonIntegralInvariantError, value)
+
+
+def outcome(fn, pres, ext):
+    try:
+        result = fn(pres, ext)
+    except NonIntegralInvariantError as err:
+        return (type(err), err.value)
+    if isinstance(result, int):
+        return result
+    return (result.tb_new, result.rot_new)
+
+
+class TestContinuantSolveAgainstDense:
+    def test_random_presentations(self):
+        rng = random.Random(8128)
+        seen = {"integral": 0, "non-integral": 0, "singular": 0, "plus": 0}
+        for _ in range(400):
+            r = Fraction(rng.choice([n for n in range(-20, 21) if n]), rng.randint(1, 8))
+            signs = [rng.choice((1, -1)) for _ in range(stabilization_budget(r))]
+            pres = convert(random_unknot(rng), r, signs)
+            ext = ExternalKnot(random_unknot(rng), rng.randint(-3, 3))
+            seen["plus"] += any(c.contact_sign == 1 for c in pres.components)
+            assert continuants(slid_diagonal(pres))[0] == det(linking_matrix(pres))
+
+            try:
+                tb_value, rot_value = dense_solve(pres, ext)
+            except SingularMatrixError:
+                seen["singular"] += 1
+                with pytest.raises(ZeroDivisionError):
+                    oracle_solve(pres, ext)
+                for fn in (invariants_after_surgery, tb_after_surgery, rot_after_surgery):
+                    with pytest.raises(SingularMatrixError):
+                        fn(pres, ext)
+                continue
+            assert oracle_solve(pres, ext) == (tb_value, rot_value)
+
+            tb_expected = expected_outcome(tb_value)
+            rot_expected = expected_outcome(rot_value)
+            assert outcome(tb_after_surgery, pres, ext) == tb_expected
+            assert outcome(rot_after_surgery, pres, ext) == rot_expected
+            both = outcome(invariants_after_surgery, pres, ext)
+            if isinstance(tb_expected, tuple):
+                assert both == tb_expected  # tb is checked first
+            elif isinstance(rot_expected, tuple):
+                assert both == rot_expected
+            else:
+                assert both == (tb_expected, rot_expected)
+            integral = tb_value.denominator == rot_value.denominator == 1
+            seen["integral" if integral else "non-integral"] += 1
+        assert min(seen.values()) > 0, seen
