@@ -56,6 +56,7 @@ from .transform import (
     bennequin,
     framing_unknot_tb_shift,
     invariants_after_surgery,
+    invariants_by_inverse,
     rot_after_surgery,
     tb_after_surgery,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "gate",
     "inner",
     "invariants_after_surgery",
+    "invariants_by_inverse",
     "invert",
     "kirby_topological_condition",
     "linking_matrix",

@@ -22,7 +22,7 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
 )
-from .exact import continuants
+from .exact import det
 from .kirby import CandidateReport, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
@@ -32,9 +32,8 @@ from .presentation import (
     evaluate_cf,
     expand_negative,
     linking_matrix,
-    slid_diagonal,
 )
-from .transform import bennequin, invariants_after_surgery
+from .transform import bennequin, invariants_by_inverse
 
 SCHEMA_VERSION = 1
 
@@ -91,16 +90,13 @@ def _component_doc(comp) -> dict:
     }
 
 
-def _determinant(pres: Presentation) -> int:
-    return continuants(slid_diagonal(pres))[0]
-
-
 def _presentation_doc(pres: Presentation) -> dict:
+    matrix = linking_matrix(pres)
     return {
         "signs": pres.signs_string,
         "components": [_component_doc(c) for c in pres.components],
-        "linking_matrix": [list(row) for row in linking_matrix(pres).entries],
-        "determinant": _determinant(pres),
+        "linking_matrix": [list(row) for row in matrix.entries],
+        "determinant": det(matrix),
     }
 
 
@@ -270,7 +266,7 @@ def _cmd_analyze(args) -> int:
     presentations = _presentations(knot, coefficient, signs)
     results = []
     for pres in presentations:
-        invariants = invariants_after_surgery(pres, ext)
+        invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
         doc = _presentation_doc(pres)
         doc["invariants"] = {
@@ -357,7 +353,7 @@ def _print_presentation_text(idx, total, pres) -> None:
     width = max(len(str(x)) for row in matrix.entries for x in row)
     for row in matrix.entries:
         print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    print(f"  determinant: {_determinant(pres)}")
+    print(f"  determinant: {det(matrix)}")
 
 
 def _print_report_text(report: CandidateReport) -> None:

@@ -26,6 +26,7 @@ from contact_kirby.transform import (
     bennequin,
     framing_unknot_tb_shift,
     invariants_after_surgery,
+    invariants_by_inverse,
     rot_after_surgery,
     tb_after_surgery,
 )
@@ -259,7 +260,12 @@ class TestContinuantSolveAgainstDense:
                 seen["singular"] += 1
                 with pytest.raises(ZeroDivisionError):
                     oracle_solve(pres, ext)
-                for fn in (invariants_after_surgery, tb_after_surgery, rot_after_surgery):
+                for fn in (
+                    invariants_after_surgery,
+                    invariants_by_inverse,
+                    tb_after_surgery,
+                    rot_after_surgery,
+                ):
                     with pytest.raises(SingularMatrixError):
                         fn(pres, ext)
                 continue
@@ -276,6 +282,7 @@ class TestContinuantSolveAgainstDense:
                 assert both == rot_expected
             else:
                 assert both == (tb_expected, rot_expected)
+            assert outcome(invariants_by_inverse, pres, ext) == both
             integral = tb_value.denominator == rot_value.denominator == 1
             seen["integral" if integral else "non-integral"] += 1
         assert min(seen.values()) > 0, seen
