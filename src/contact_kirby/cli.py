@@ -6,6 +6,18 @@ point anywhere), so identical invocations are byte-identical and any
 emitted document re-emits losslessly.  Exit codes: 0 on success, 2 on
 invalid input or gate rejection, 3 when exact arithmetic cannot deliver
 an answer (singular linking matrix, non-integral invariant).
+
+:func:`canonical_json` writes that text itself, byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)``, whose indenting encoder
+is pure Python.  It collects whole lines in one list and writes a row of
+plain ints with one ``join``.  ``convert`` and ``analyze`` stream their
+presentations: each document is built and written to stdout as one
+string when its turn comes, so only one presentation's text is held in
+memory at a time.
+``analyze`` runs every solve first, so an exit 3 prints nothing.
+Without ``--signs`` both refuse a coefficient with more than
+2^MAX_BRANCH_BITS stabilization branches; ``table`` refuses an
+``--m-max`` above MAX_M_MAX.
 """
 
 from __future__ import annotations
@@ -15,7 +27,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidInputError,
@@ -23,7 +37,13 @@ from .errors import (
     SingularMatrixError,
 )
 from .exact import det
-from .kirby import CandidateReport, classify, emit_table, gate
+from .kirby import (
+    CONSISTENT_WITH_STANDARD_TIGHT,
+    CandidateReport,
+    classify,
+    emit_table,
+    gate,
+)
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
     Presentation,
@@ -32,10 +52,25 @@ from .presentation import (
     evaluate_cf,
     expand_negative,
     linking_matrix,
+    stabilization_budget,
 )
 from .transform import bennequin, invariants_by_inverse
 
 SCHEMA_VERSION = 1
+
+# convert/analyze without --signs enumerate at most 2^16 branches
+MAX_BRANCH_BITS = 16
+# table --m-max 1000 takes about 8 s, and the work grows as m_max^2
+MAX_M_MAX = 1000
+
+_INT_ONLY = frozenset((int,))
+# JSON text of the scalar types the documents hold, by exact type
+_SCALARS = {
+    int: int.__repr__,
+    str: _quote,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -66,8 +101,87 @@ def parse_signs(text: str) -> tuple:
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-def canonical_json(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True)
+def canonical_json(document, write=None) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True)``, written directly.
+
+    Accepts dicts with ``str`` keys, lists, tuples, strings, ints, bools
+    and ``None``; anything else raises ``TypeError``.  Without ``write``
+    the text is returned.  With ``write``, an iterator value is emitted
+    as a JSON array whose items are built one at a time: the text before
+    each item, then each finished item, then the rest of the document go
+    to ``write`` as whole strings, and the empty string is returned.
+    """
+    lines = []
+    _put_lines(document, "", "", "", lines, write)
+    text = "\n".join(lines)
+    if write is None:
+        return text
+    write(text)
+    return ""
+
+
+def _scalar(value) -> str:
+    text = _SCALARS.get(type(value))
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text(value)
+
+
+def _put_lines(value, indent, head, tail, lines, write) -> None:
+    """Append the lines of ``value``: ``head`` opens its first, ``tail`` ends its last.
+
+    Items are appended with a trailing comma, which the last one then loses.
+    """
+    if isinstance(value, dict):
+        if not value:
+            lines.append(head + "{}" + tail)
+            return
+        inner = indent + "  "
+        lines.append(head + "{")
+        for key, item in sorted(value.items()):
+            # _quote raises TypeError for a key that is not a str
+            item_head = f"{inner}{_quote(key)}: "
+            text = _SCALARS.get(type(item))
+            if text is None:
+                _put_lines(item, inner, item_head, ",", lines, write)
+            else:
+                lines.append(f"{item_head}{text(item)},")
+        lines[-1] = lines[-1][:-1]
+        lines.append(indent + "}" + tail)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            lines.append(head + "[]" + tail)
+            return
+        inner = indent + "  "
+        lines.append(head + "[")
+        if _INT_ONLY.issuperset(map(type, value)):
+            lines.append(inner + f",\n{inner}".join(map(int.__repr__, value)))
+        else:
+            for item in value:
+                text = _SCALARS.get(type(item))
+                if text is None:
+                    _put_lines(item, inner, inner, ",", lines, write)
+                else:
+                    lines.append(f"{inner}{text(item)},")
+            lines[-1] = lines[-1][:-1]
+        lines.append(indent + "]" + tail)
+    elif write is not None and isinstance(value, Iterator):
+        inner = indent + "  "
+        lines.append(head + "[")
+        write("\n".join(lines))
+        lines.clear()
+        separator = "\n"
+        for item in value:
+            item_lines = []
+            _put_lines(item, inner, inner, "", item_lines, None)
+            write(separator + "\n".join(item_lines))
+            separator = ",\n"
+        # the closing line opens a fresh chunk, so it carries its own line
+        # break, unless the stream was empty and "[" is closed right away
+        closing = "]" if separator == "\n" else f"\n{indent}]"
+        lines.append(closing + tail)
+    else:
+        lines.append(head + _scalar(value) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +212,16 @@ def _presentation_doc(pres: Presentation) -> dict:
         "linking_matrix": [list(row) for row in matrix.entries],
         "determinant": det(matrix),
     }
+
+
+def _analysis_doc(pres: Presentation, invariants, check) -> dict:
+    doc = _presentation_doc(pres)
+    doc["invariants"] = {
+        "tb_new": invariants.tb_new,
+        "rot_new": invariants.rot_new,
+        "bennequin": _bennequin_doc(check),
+    }
+    return doc
 
 
 def _bennequin_doc(check) -> dict:
@@ -131,15 +255,20 @@ def _report_doc(report: CandidateReport) -> dict:
     }
 
 
+def _branch_text(verdict) -> tuple:
+    """A branch verdict's sign label and status as the text formats show them."""
+    status = (
+        "tight (asserted)"
+        if verdict.status == CONSISTENT_WITH_STANDARD_TIGHT
+        else verdict.status
+    )
+    return verdict.signs_string or "(none)", status
+
+
 def _verdict_label(verdict) -> str:
     if verdict.reason is not None:
         return f"0-surgery: {verdict.status}"
-    label = verdict.signs_string or "(none)"
-    status = (
-        "tight (asserted)"
-        if verdict.status == "consistent-with-standard-tight"
-        else verdict.status
-    )
+    label, status = _branch_text(verdict)
     return f"{label}: {status}"
 
 
@@ -198,6 +327,13 @@ def _diagram_from_args(args):
 
 def _presentations(knot, coefficient, signs):
     if signs is None:
+        budget = stabilization_budget(coefficient)
+        if budget > MAX_BRANCH_BITS:
+            raise InvalidInputError(
+                f"coefficient {coefficient} has {2 ** budget} stabilization "
+                f"branches (2^{budget}); without --signs at most "
+                f"{2 ** MAX_BRANCH_BITS} (2^{MAX_BRANCH_BITS}) are listed"
+            )
         return enumerate_presentations(knot, coefficient)
     return [convert(knot, coefficient, signs)]
 
@@ -237,18 +373,16 @@ def _cmd_convert(args) -> int:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _presentations(knot, coefficient, signs)
     if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "convert",
-                    "input": echo,
-                    "presentations": [
-                        _presentation_doc(p) for p in presentations
-                    ],
-                }
-            )
+        canonical_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": "convert",
+                "input": echo,
+                "presentations": (_presentation_doc(p) for p in presentations),
+            },
+            sys.stdout.write,
         )
+        print()
     else:
         for idx, pres in enumerate(presentations):
             _print_presentation_text(idx, len(presentations), pres)
@@ -264,30 +398,25 @@ def _cmd_analyze(args) -> int:
         "lk": ext.lk_with_original,
     }
     presentations = _presentations(knot, coefficient, signs)
+    # every solve runs before anything is printed, so exit 3 prints nothing
     results = []
     for pres in presentations:
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
-        doc = _presentation_doc(pres)
-        doc["invariants"] = {
-            "tb_new": invariants.tb_new,
-            "rot_new": invariants.rot_new,
-            "bennequin": _bennequin_doc(check),
-        }
-        results.append((pres, invariants, check, doc))
+        results.append((pres, invariants, check))
     if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "analyze",
-                    "input": echo,
-                    "presentations": [doc for _, _, _, doc in results],
-                }
-            )
+        canonical_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": "analyze",
+                "input": echo,
+                "presentations": (_analysis_doc(*result) for result in results),
+            },
+            sys.stdout.write,
         )
+        print()
     else:
-        for idx, (pres, invariants, check, _) in enumerate(results):
+        for idx, (pres, invariants, check) in enumerate(results):
             _print_presentation_text(idx, len(results), pres)
             verdict = "satisfied" if check.satisfied else "violated"
             print(
@@ -309,8 +438,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.m_max < 0:
-        raise InvalidInputError(f"--m-max must be non-negative (got {args.m_max})")
+    if not 0 <= args.m_max <= MAX_M_MAX:
+        raise InvalidInputError(
+            f"--m-max must be between 0 and {MAX_M_MAX} (got {args.m_max})"
+        )
     reports = emit_table(args.m_max)
     if args.format == "json":
         print(
@@ -365,12 +496,7 @@ def _print_report_text(report: CandidateReport) -> None:
             continue
         check = verdict.bennequin
         state = "satisfied" if check.satisfied else "violated"
-        label = verdict.signs_string or "(none)"
-        shown = (
-            "tight (asserted)"
-            if verdict.status == "consistent-with-standard-tight"
-            else verdict.status
-        )
+        label, shown = _branch_text(verdict)
         print(
             f"  branch {label}: tb_new={verdict.tb_new} rot_new={verdict.rot_new} "
             f"bennequin {state} (slack {check.slack}) -> {shown}"
@@ -419,7 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--coeff", help="contact surgery coefficient, integer or p/q")
         sub.add_argument(
             "--signs",
-            help="stabilization signs as a string over + and - (default: all branches)",
+            help=(
+                "stabilization signs as a string over + and - (default: all "
+                f"branches, at most 2^{MAX_BRANCH_BITS} of them)"
+            ),
         )
         sub.add_argument("--input", help="read a diagram document (JSON) instead of flags")
 
@@ -462,7 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     table = subparsers.add_parser(
         "table", help="screen every candidate with m up to --m-max"
     )
-    table.add_argument("--m-max", type=int, required=True)
+    table.add_argument(
+        "--m-max", type=int, required=True,
+        help=f"largest m to screen, 0 to {MAX_M_MAX}",
+    )
     _add_format(table, "table")
     table.set_defaults(func=_cmd_table)
 

@@ -23,6 +23,7 @@ descendant of it, by the parent's tb at push-off time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,8 +180,13 @@ def _as_fraction(coefficient: Coefficient) -> Fraction:
         raise InvalidInputError(f"not an exact rational: {coefficient!r}") from exc
 
 
+@functools.lru_cache(maxsize=256)
 def _conversion_plan(coefficient: Fraction):
-    """Number of contact (+1) components, and the chain expansion if any."""
+    """Number of contact (+1) components, and the chain expansion if any.
+
+    Cached because every branch of one surgery converts the same
+    coefficient; the result, an int and a frozen expansion, is immutable.
+    """
     if coefficient == 0:
         raise ZeroSurgeryError(
             "contact 0-surgery has no (+/-1)-surgery presentation"
@@ -275,14 +281,13 @@ def linking_matrix(presentation: Presentation) -> IntMatrix:
     parallel-copy rule.
     """
     comps = presentation.components
+    tbs = [c.knot.tb for c in comps]
     rows = []
     for i, ci in enumerate(comps):
-        row = []
-        for j in range(len(comps)):
-            if i == j:
-                row.append(ci.knot.tb + ci.contact_sign)
-            else:
-                row.append(comps[min(i, j)].knot.tb)
+        # entry j is tb[j] left of the diagonal and tb[i] right of it
+        row = tbs[:i]
+        row.append(ci.knot.tb + ci.contact_sign)
+        row.extend([ci.knot.tb] * (len(comps) - 1 - i))
         rows.append(row)
     return IntMatrix(rows)
 

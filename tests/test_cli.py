@@ -405,3 +405,69 @@ class TestContract:
             child.wait()
         assert child.returncode == 0
         assert err == b""
+
+
+class TestStreamedOutput:
+    # tb = -1 and coefficient -9: one chain component with 8 stabilizations,
+    # so 2^8 presentations; |p + q tb| = 10 makes lk = 10 integral
+    DIAGRAM = ("--tb", "-1", "--rot", "0", "--coeff", "-9")
+
+    def test_convert_and_analyze_stream_canonical_json(self, capsys):
+        for argv in (
+            ("convert",) + self.DIAGRAM,
+            ("analyze",) + self.DIAGRAM + ("--lk", "10"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            document = json.loads(out)
+            assert len(document["presentations"]) == 2 ** 8
+            assert canonical_json(document) + "\n" == out
+
+    def test_exit_3_prints_nothing(self, capsys):
+        for argv in (
+            ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-3", "--lk", "1",
+             "--signs", "++"),
+            ("analyze", "--tb", "-2", "--rot", "-1", "--coeff", "2", "--lk", "1"),
+            # the first of four branches is integral, the other three are not
+            ("analyze", "--tb", "-2", "--rot", "1", "--coeff", "-5/2", "--lk", "3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err
+
+
+class TestBounds:
+    def test_too_many_branches_exit_2(self, capsys):
+        for argv in (
+            ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-40"),
+            ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-40", "--lk", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert str(2 ** 39) in err
+
+    def test_branch_cap_is_inclusive(self, capsys, monkeypatch):
+        from contact_kirby import cli
+
+        monkeypatch.setattr(cli, "MAX_BRANCH_BITS", 3)
+        code, out, _ = run_cli(capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", "-4")
+        assert code == 0
+        assert len(json.loads(out)["presentations"]) == 8
+        code, out, err = run_cli(capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", "-5")
+        assert (code, out) == (2, "")
+        assert "16" in err
+
+    def test_signs_bypass_the_branch_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", "-40",
+            "--signs", "+-" * 19 + "+",
+        )
+        assert code == 0
+        assert len(json.loads(out)["presentations"]) == 1
+
+    def test_m_max_above_the_bound_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--m-max", "1001")
+        assert (code, out) == (2, "")
+        assert "1000" in err

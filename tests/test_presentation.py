@@ -196,6 +196,22 @@ class TestEnumerate:
         assert len(branches) == 2 ** s
         assert len({p.sign_choice for p in branches}) == len(branches)
 
+    def test_enumeration_expands_the_coefficient_once(self, monkeypatch):
+        from contact_kirby import presentation
+
+        calls = []
+        expand = presentation.expand_negative
+        monkeypatch.setattr(
+            presentation, "expand_negative", lambda r: calls.append(r) or expand(r)
+        )
+        presentation._conversion_plan.cache_clear()
+        try:
+            branches = enumerate_presentations(LegendrianUnknot(-1, 0), -11)
+        finally:
+            presentation._conversion_plan.cache_clear()
+        assert calls == [Fraction(-11)]
+        assert len(branches) == 2 ** 10
+
 
 class TestLinkingData:
     def test_chain_matrix_m2(self):
