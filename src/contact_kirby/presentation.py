@@ -15,10 +15,14 @@ deterministically, by a link of contact (+1)- and (-1)-surgeries:
   stabilizations and a contact (-1) coefficient.
 
 Each stabilization consumes one sign from the caller, so a conversion
-with s stabilizations has 2^s distinct presentations.  Linking numbers
-inside the resulting link follow the parallel-copy rule: a push-off
-taken along the contact framing links its parent, and every later
-descendant of it, by the parent's tb at push-off time.
+with s stabilizations has 2^s distinct presentations.  A Legendrian
+unknot is fixed by (tb, rot), so each chain component is built in one
+step from how many of its signs are positive.  Every component is a
+push-off of the one before it, so its ``parent`` is derived from its
+index, never stored.  Linking numbers inside the resulting link follow
+the parallel-copy rule: a push-off taken along the contact framing links
+its parent, and every later descendant of it, by the parent's tb at
+push-off time.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Optional, Sequence, Union
 from . import legendrian
 from .errors import InvalidExpansionError, InvalidInputError, ZeroSurgeryError
 from .exact import IntMatrix
-from .legendrian import ExternalKnot, LegendrianUnknot, stabilize
+from .legendrian import ExternalKnot, LegendrianUnknot
 
 Coefficient = Union[int, Fraction]
 
@@ -66,8 +70,6 @@ class CFExpansion:
 class Component:
     """One knot of a (+/-1)-presentation link.
 
-    ``parent`` is the index of the component this one was pushed off
-    from; the chain head and the surviving original knot have none.
     ``stabs_pos``/``stabs_neg`` count the zigzags added after the
     push-off.
     """
@@ -75,9 +77,13 @@ class Component:
     index: int
     knot: LegendrianUnknot
     contact_sign: int
-    parent: Optional[int]
     stabs_pos: int = 0
     stabs_neg: int = 0
+
+    @property
+    def parent(self) -> Optional[int]:
+        """The component this one was pushed off from; the first has none."""
+        return self.index - 1 if self.index else None
 
     @property
     def stabilizations(self) -> int:
@@ -120,12 +126,7 @@ class Presentation:
                 raise InvalidInputError(
                     "(+1) components are never stabilized, only chain members are"
                 )
-            if comp.parent is None:
-                base = self.source_knot
-            else:
-                if not 0 <= comp.parent < pos:
-                    raise InvalidInputError("parents must precede children")
-                base = self.components[comp.parent].knot
+            base = self.components[pos - 1].knot if pos else self.source_knot
             if comp.knot.tb != base.tb - comp.stabilizations:
                 raise InvalidInputError("tb bookkeeping mismatch")
             if comp.knot.rot != base.rot + comp.stabs_pos - comp.stabs_neg:
@@ -133,7 +134,12 @@ class Presentation:
 
     @property
     def signs_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.sign_choice)
+        return signs_string(self.sign_choice)
+
+
+def signs_string(sign_choice: Sequence[int]) -> str:
+    """Stabilization signs as text: ``+`` for +1, ``-`` for -1."""
+    return "".join("+" if s > 0 else "-" for s in sign_choice)
 
 
 def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
@@ -229,30 +235,17 @@ def convert(
             f"stabilizes {needed} times"
         )
 
-    components = []
-    parent = None
-    current = knot
-    for _ in range(plus_count):
-        components.append(Component(len(components), current, 1, parent))
-        parent = len(components) - 1
-        # the next surgery lives on an unstabilized push-off: same tb, same rot
+    # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
+    components = [Component(i, knot, 1) for i in range(plus_count)]
     if expansion is not None:
-        queue = iter(sign_choice)
+        current = knot
+        start = 0
         for count in expansion.stabilization_counts:
-            stabbed = current
-            pos = neg = 0
-            for _ in range(count):
-                sign = next(queue)
-                stabbed = stabilize(stabbed, sign)
-                if sign > 0:
-                    pos += 1
-                else:
-                    neg += 1
-            components.append(
-                Component(len(components), stabbed, -1, parent, pos, neg)
-            )
-            parent = len(components) - 1
-            current = stabbed
+            pos = sign_choice[start:start + count].count(1)
+            neg = count - pos
+            start += count
+            current = LegendrianUnknot(current.tb - count, current.rot + pos - neg)
+            components.append(Component(len(components), current, -1, pos, neg))
     return Presentation(tuple(components), knot, coefficient, sign_choice)
 
 
@@ -333,7 +326,6 @@ def mirror(presentation: Presentation) -> Presentation:
             c.index,
             legendrian.mirror(c.knot),
             c.contact_sign,
-            c.parent,
             c.stabs_neg,
             c.stabs_pos,
         )

@@ -471,3 +471,90 @@ class TestBounds:
         code, out, err = run_cli(capsys, "table", "--m-max", "1001")
         assert (code, out) == (2, "")
         assert "1000" in err
+
+
+class TestPresentationText:
+    """The ``--format table`` text of convert and analyze, in full."""
+
+    CONVERT_3_2 = """\
+presentation 1 of 4 (signs: ++)
+  component 0: tb=-1 rot=0 contact=+1 topological=+0 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=2 contact=-1 topological=-4 parent=0 stabs=+2/-0
+  linking matrix:
+    [  0  -1 ]
+    [ -1  -4 ]
+  determinant: -1
+presentation 2 of 4 (signs: +-)
+  component 0: tb=-1 rot=0 contact=+1 topological=+0 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=0 contact=-1 topological=-4 parent=0 stabs=+1/-1
+  linking matrix:
+    [  0  -1 ]
+    [ -1  -4 ]
+  determinant: -1
+presentation 3 of 4 (signs: -+)
+  component 0: tb=-1 rot=0 contact=+1 topological=+0 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=0 contact=-1 topological=-4 parent=0 stabs=+1/-1
+  linking matrix:
+    [  0  -1 ]
+    [ -1  -4 ]
+  determinant: -1
+presentation 4 of 4 (signs: --)
+  component 0: tb=-1 rot=0 contact=+1 topological=+0 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=-2 contact=-1 topological=-4 parent=0 stabs=+0/-2
+  linking matrix:
+    [  0  -1 ]
+    [ -1  -4 ]
+  determinant: -1
+"""
+
+    ANALYZE_3 = """\
+presentation 1 of 2 (signs: +)
+  component 0: tb=-2 rot=1 contact=+1 topological=-1 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=2 contact=-1 topological=-4 parent=0 stabs=+1/-0
+  component 2: tb=-3 rot=2 contact=-1 topological=-4 parent=1 stabs=+0/-0
+  linking matrix:
+    [ -1  -2  -2 ]
+    [ -2  -4  -3 ]
+    [ -2  -3  -4 ]
+  determinant: 1
+  tb_new=-2 rot_new=1 bennequin satisfied (slack 0)
+presentation 2 of 2 (signs: -)
+  component 0: tb=-2 rot=1 contact=+1 topological=-1 parent=- stabs=+0/-0
+  component 1: tb=-3 rot=0 contact=-1 topological=-4 parent=0 stabs=+0/-1
+  component 2: tb=-3 rot=0 contact=-1 topological=-4 parent=1 stabs=+0/-0
+  linking matrix:
+    [ -1  -2  -2 ]
+    [ -2  -4  -3 ]
+    [ -2  -3  -4 ]
+  determinant: 1
+  tb_new=-2 rot_new=-3 bennequin violated (slack -2)
+"""
+
+    ANALYZE_1_2 = """\
+presentation 1 of 1 (signs: (none))
+  component 0: tb=-1 rot=0 contact=+1 topological=+0 parent=- stabs=+0/-0
+  component 1: tb=-1 rot=0 contact=+1 topological=+0 parent=0 stabs=+0/-0
+  linking matrix:
+    [  0  -1 ]
+    [ -1   0 ]
+  determinant: -1
+  tb_new=1 rot_new=0 bennequin violated (slack -2)
+"""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("convert", "--tb", "-1", "--rot", "0", "--coeff", "3/2"), CONVERT_3_2),
+            (
+                ("analyze", "--tb", "-2", "--rot", "1", "--coeff", "3", "--lk", "1"),
+                ANALYZE_3,
+            ),
+            (
+                ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "1/2", "--lk", "1"),
+                ANALYZE_1_2,
+            ),
+        ],
+    )
+    def test_full_text(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv, "--format", "table")
+        assert (code, out, err) == (0, expected, "")

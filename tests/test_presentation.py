@@ -1,6 +1,7 @@
 """Conversion into (+/-1)-chains, continued fractions, and linking data."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from contact_kirby.exact import IntMatrix, det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
     CFExpansion,
+    Presentation,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -330,3 +332,56 @@ class TestMirror:
         pres = convert(k, 5, [-1])
         direct = convert(LegendrianUnknot(-4, -3), 5, [1])
         assert mirror(pres) == direct
+
+
+class TestStructureChecks:
+    """A hand-built ``Presentation`` is validated like a converted one."""
+
+    @staticmethod
+    def rebuilt(pres, position=None, signs=None, **changes):
+        comps = list(pres.components)
+        if position is not None:
+            comps[position] = replace(comps[position], **changes)
+        return Presentation(
+            tuple(comps),
+            pres.source_knot,
+            pres.source_coefficient,
+            pres.sign_choice if signs is None else signs,
+        )
+
+    def test_a_converted_presentation_rebuilds(self):
+        pres = convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, -1])
+        assert self.rebuilt(pres) == pres
+
+    @pytest.mark.parametrize(
+        "position, signs, changes, message",
+        [
+            (None, (1, -1, 1), {}, "sign vector length"),
+            (1, None, {"index": 0}, "indices must match positions"),
+            (1, None, {"contact_sign": 2}, "must be \\+1 or -1"),
+            # one more sign keeps the count balanced, so this check is reached
+            (0, (1, 1, -1), {"stabs_pos": 1}, "never stabilized"),
+            (1, None, {"knot": LegendrianUnknot(-5, 0)}, "tb bookkeeping"),
+            (1, None, {"knot": LegendrianUnknot(-3, 2)}, "rot bookkeeping"),
+        ],
+    )
+    def test_malformed_presentations_are_rejected(
+        self, position, signs, changes, message
+    ):
+        # 3/2 on the standard unknot: a (+1) knot, then a (-1) push-off
+        # stabilized once each way, so component 1 is (tb -3, rot 0)
+        pres = convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, -1])
+        with pytest.raises(InvalidInputError, match=message):
+            self.rebuilt(pres, position, signs, **changes)
+
+    def test_parent_is_the_previous_component(self):
+        rng = random.Random(5040)
+        for _ in range(200):
+            k = random_valid_unknot(rng)
+            num = rng.randint(-20, 20) or 1
+            r = Fraction(num, rng.randint(1, 10))
+            signs = [rng.choice((1, -1)) for _ in range(stabilization_budget(r))]
+            pres = convert(k, r, signs)
+            for p in (pres, mirror(pres)):
+                for c in p.components:
+                    assert c.parent == (c.index - 1 if c.index else None)
