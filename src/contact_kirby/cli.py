@@ -7,6 +7,11 @@ emitted document re-emits losslessly.  Exit codes: 0 on success, 2 on
 invalid input or gate rejection, 3 when exact arithmetic cannot deliver
 an answer (singular linking matrix, non-integral invariant).
 
+Every command builds one v1 document and returns it with its text
+printer; :func:`main` alone picks the format and writes either the
+document's canonical JSON or the text, which is printed from that same
+document.
+
 :func:`canonical_json` writes that text itself, byte-identical to
 ``json.dumps(doc, indent=2, sort_keys=True)``, whose indenting encoder
 is pure Python.  It collects whole lines in one list and writes a row of
@@ -31,19 +36,9 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import (
-    InvalidInputError,
-    NonIntegralInvariantError,
-    SingularMatrixError,
-)
+from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
 from .exact import det
-from .kirby import (
-    CONSISTENT_WITH_STANDARD_TIGHT,
-    CandidateReport,
-    classify,
-    emit_table,
-    gate,
-)
+from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
     Presentation,
@@ -241,13 +236,10 @@ def _verdict_doc(verdict) -> dict:
     }
 
 
-def _report_doc(report: CandidateReport) -> dict:
+def _report_doc(report) -> dict:
+    d = report.diagram
     return {
-        "diagram": {
-            "m": report.diagram.m,
-            "n": report.diagram.n,
-            "rot": report.diagram.rot,
-        },
+        "diagram": {"m": d.m, "n": d.n, "rot": d.rot},
         "collection": report.collection,
         "verdicts": [_verdict_doc(v) for v in report.verdicts],
         "survives": report.survives,
@@ -255,19 +247,17 @@ def _report_doc(report: CandidateReport) -> dict:
     }
 
 
-def _branch_text(verdict) -> tuple:
-    """A branch verdict's sign label and status as the text formats show them."""
-    status = (
-        "tight (asserted)"
-        if verdict.status == CONSISTENT_WITH_STANDARD_TIGHT
-        else verdict.status
-    )
-    return verdict.signs_string or "(none)", status
+def _branch_text(verdict: dict) -> tuple:
+    """A verdict document's sign label and status as the text formats show them."""
+    status = verdict["status"]
+    if status == CONSISTENT_WITH_STANDARD_TIGHT:
+        status = "tight (asserted)"
+    return verdict["signs"] or "(none)", status
 
 
-def _verdict_label(verdict) -> str:
-    if verdict.reason is not None:
-        return f"0-surgery: {verdict.status}"
+def _verdict_label(verdict: dict) -> str:
+    if verdict["reason"] is not None:
+        return f"0-surgery: {verdict['status']}"
     label, status = _branch_text(verdict)
     return f"{label}: {status}"
 
@@ -342,38 +332,28 @@ def _presentations(knot, coefficient, signs):
 # commands
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     value = parse_rational(args.coefficient)
-    expansion = expand_negative(value)
-    coeffs = list(expansion.coeffs)
+    coeffs = list(expand_negative(value).coeffs)
     round_trip = evaluate_cf([coeffs[0] + 1] + coeffs[1:])
-    if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "expand",
-                    "coefficient": str(value),
-                    "coefficients": coeffs,
-                    "round_trip": str(round_trip),
-                }
-            )
-        )
-    else:
-        print(str(coeffs))
-        print(f"round-trip: {round_trip}")
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "expand",
+        "coefficient": str(value),
+        "coefficients": coeffs,
+        "round_trip": str(round_trip),
+    }
+    return doc, _print_expansion_text
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _presentations(knot, coefficient, signs)
     docs = (_presentation_doc(p) for p in presentations)
-    _write_presentations("convert", echo, docs, len(presentations), args.format)
-    return 0
+    return _presentations_doc("convert", echo, docs, len(presentations))
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     ext = ExternalKnot(validate_unknot(args.ext_tb, args.ext_rot), args.lk)
     echo["external"] = {
@@ -389,69 +369,56 @@ def _cmd_analyze(args) -> int:
         check = bennequin(invariants.tb_new, invariants.rot_new)
         results.append((pres, invariants, check))
     docs = (_analysis_doc(*result) for result in results)
-    _write_presentations("analyze", echo, docs, len(results), args.format)
-    return 0
+    return _presentations_doc("analyze", echo, docs, len(results))
 
 
-def _write_presentations(command, echo, docs, total, fmt) -> None:
-    """Stream the presentation documents as one JSON document, or print them as text."""
-    if fmt == "json":
-        canonical_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "input": echo,
-                "presentations": docs,
-            },
-            sys.stdout.write,
-        )
-        print()
-    else:
-        for idx, doc in enumerate(docs):
-            _print_presentation_text(idx, total, doc)
+def _presentations_doc(command, echo, docs, total) -> tuple:
+    """The convert/analyze document, its presentations streamed from ``docs``.
+
+    Returns the document and its text printer, which numbers each
+    presentation out of ``total``.
+    """
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "input": echo,
+        "presentations": docs,
+    }
+
+    def print_text(document) -> None:
+        for idx, pres_doc in enumerate(document["presentations"]):
+            _print_presentation_text(idx, total, pres_doc)
+
+    return doc, print_text
 
 
-def _cmd_classify(args) -> int:
-    report = classify(gate(args.m, args.n, args.rot))
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": "classify"}
-        doc.update(_report_doc(report))
-        print(canonical_json(doc))
-    else:
-        _print_report_text(report)
-    return 0
+def _cmd_classify(args) -> tuple:
+    doc = {"schema_version": SCHEMA_VERSION, "command": "classify"}
+    doc.update(_report_doc(classify(gate(args.m, args.n, args.rot))))
+    return doc, _print_report_text
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     if not 0 <= args.m_max <= MAX_M_MAX:
         raise InvalidInputError(
             f"--m-max must be between 0 and {MAX_M_MAX} (got {args.m_max})"
         )
-    reports = emit_table(args.m_max)
-    if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "table",
-                    "m_max": args.m_max,
-                    "reports": [_report_doc(r) for r in reports],
-                }
-            )
-        )
-    else:
-        rows = [
-            (
-                str(r.diagram.m),
-                str(r.diagram.n),
-                r.collection,
-                "; ".join(_verdict_label(v) for v in r.verdicts),
-                "yes" if r.survives else "no",
-            )
-            for r in reports
-        ]
-        _print_aligned([("m", "n", "collection", "branches", "survivor")] + rows)
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "table",
+        "m_max": args.m_max,
+        "reports": [_report_doc(r) for r in emit_table(args.m_max)],
+    }
+    return doc, _print_table_text
+
+
+# ---------------------------------------------------------------------------
+# text rendering of the documents
+
+
+def _print_expansion_text(doc) -> None:
+    print(str(doc["coefficients"]))
+    print(f"round-trip: {doc['round_trip']}")
 
 
 def _print_presentation_text(idx, total, doc) -> None:
@@ -482,24 +449,36 @@ def _print_presentation_text(idx, total, doc) -> None:
         )
 
 
-def _print_report_text(report: CandidateReport) -> None:
-    d = report.diagram
-    print(f"diagram: m={d.m} n={d.n} rot={d.rot} (collection {report.collection})")
-    for verdict in report.verdicts:
-        if verdict.reason is not None:
-            print(f"  {verdict.reason} -> {verdict.status}")
+def _print_report_text(doc) -> None:
+    d = doc["diagram"]
+    print(f"diagram: m={d['m']} n={d['n']} rot={d['rot']} (collection {doc['collection']})")
+    for verdict in doc["verdicts"]:
+        if verdict["reason"] is not None:
+            print(f"  {verdict['reason']} -> {verdict['status']}")
             continue
-        check = verdict.bennequin
-        state = "satisfied" if check.satisfied else "violated"
+        check = verdict["bennequin"]
+        state = "satisfied" if check["satisfied"] else "violated"
         label, shown = _branch_text(verdict)
         print(
-            f"  branch {label}: tb_new={verdict.tb_new} rot_new={verdict.rot_new} "
-            f"bennequin {state} (slack {check.slack}) -> {shown}"
+            f"  branch {label}: tb_new={verdict['tb_new']} rot_new={verdict['rot_new']} "
+            f"bennequin {state} (slack {check['slack']}) -> {shown}"
         )
-    print(f"summary: {report.summary}")
+    print(f"summary: {doc['summary']}")
 
 
-def _print_aligned(rows) -> None:
+def _print_table_text(doc) -> None:
+    """One aligned row per report document, under a header row."""
+    rows = [("m", "n", "collection", "branches", "survivor")]
+    rows.extend(
+        (
+            str(r["diagram"]["m"]),
+            str(r["diagram"]["n"]),
+            r["collection"],
+            "; ".join(_verdict_label(v) for v in r["verdicts"]),
+            "yes" if r["survives"] else "no",
+        )
+        for r in doc["reports"]
+    )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -507,6 +486,21 @@ def _print_aligned(rows) -> None:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Keeps ``--`` as the value of an option (``--signs=--``).
+
+    argparse (CPython 3.11 among others) drops that ``--`` and stores
+    ``[]``, which no command can read.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _add_format(parser, default) -> None:
@@ -517,7 +511,7 @@ def _add_format(parser, default) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contact-kirby",
         description=(
             "Convert rational contact surgeries on Legendrian unknots into "
@@ -606,7 +600,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        document, print_text = args.func(args)
+        if args.format == "json":
+            canonical_json(document, sys.stdout.write)
+            print()
+        else:
+            print_text(document)
+        return 0
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,43 +44,17 @@ def _as_int(value) -> int:
     return value
 
 
-class IntMatrix:
-    """Immutable square matrix with arbitrary-precision integer entries."""
+class _SquareMatrix:
+    """Immutable square matrix; a subclass sets how each entry is coerced.
 
-    __slots__ = ("entries",)
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        entries = tuple(tuple(_as_int(x) for x in row) for row in rows)
-        if not entries:
-            raise InvalidInputError("matrix needs at least one row")
-        if any(len(row) != len(entries) for row in entries):
-            raise InvalidInputError("matrix must be square")
-        self.entries = entries
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(row) for row in self.entries]})"
-
-
-class RationalMatrix:
-    """Immutable square matrix with exact rational entries."""
+    Equality is type-strict: an IntMatrix never equals a RationalMatrix.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        coerce = self._coerce
+        entries = tuple(tuple(coerce(x) for x in row) for row in rows)
         if not entries:
             raise InvalidInputError("matrix needs at least one row")
         if any(len(row) != len(entries) for row in entries):
@@ -91,21 +65,35 @@ class RationalMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash(self.entries)
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({[list(row) for row in self.entries]})"
+        return f"{type(self).__name__}({[list(row) for row in self.entries]})"
+
+
+class IntMatrix(_SquareMatrix):
+    """Immutable square matrix with arbitrary-precision integer entries."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_as_int)
+
+
+class RationalMatrix(_SquareMatrix):
+    """Immutable square matrix with exact rational entries."""
+
+    __slots__ = ()
+    _coerce = Fraction
+
+    @property
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for row in self.entries for x in row)
 
 
 def _eliminate(a: list, n: int) -> int:

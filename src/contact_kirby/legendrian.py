@@ -27,6 +27,11 @@ Coefficient = Union[int, Fraction]
 
 
 def _check_invariants(tb: int, rot: int) -> None:
+    # exact types: a bool or a float equal to an integer is not one
+    if type(tb) is not int or type(rot) is not int:
+        raise InvalidLegendrianError(
+            f"tb and rot must be integers (got tb={tb!r}, rot={rot!r})"
+        )
     if tb > -1:
         raise InvalidLegendrianError(
             f"tb must be at most -1 for a Legendrian unknot (got tb={tb})"
@@ -84,7 +89,7 @@ def stabilize(knot: LegendrianUnknot, sign: int) -> LegendrianUnknot:
 
     Stabilization preserves validity, so the result never raises.
     """
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise InvalidInputError(f"stabilization sign must be +1 or -1, got {sign}")
     return LegendrianUnknot(knot.tb - 1, knot.rot + sign)
 

@@ -225,7 +225,7 @@ def convert(
     """
     coefficient = _as_fraction(coefficient)
     sign_choice = tuple(signs)
-    if any(s not in (1, -1) for s in sign_choice):
+    if any(type(s) is not int or s not in (1, -1) for s in sign_choice):
         raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
     plus_count, expansion = _conversion_plan(coefficient)
     needed = expansion.total_stabilizations if expansion is not None else 0

@@ -70,7 +70,8 @@ class PostSurgeryInvariants:
 
     tb_new: int
     rot_new: int
-    integral: bool = True
+    # a solve that is not integral raises instead of returning
+    integral = True
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,6 @@ def invariants_after_surgery(
     return PostSurgeryInvariants(
         _require_integral(tb_new, "Thurston-Bennequin number"),
         _require_integral(rot_new, "rotation number"),
-        True,
     )
 
 
@@ -157,7 +157,7 @@ def invariants_by_inverse(
         Fraction(ext.knot.rot) - inner(rot_vector(presentation), solved),
         "rotation number",
     )
-    return PostSurgeryInvariants(tb_new, rot_new, True)
+    return PostSurgeryInvariants(tb_new, rot_new)
 
 
 def framing_unknot_tb_shift(topological_sign: int, tb0: int) -> int:

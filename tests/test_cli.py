@@ -380,6 +380,20 @@ class TestContract:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    def test_double_dash_option_value(self, capsys):
+        # "--" is the value of the option, not the end-of-options marker
+        code, out, err = run_cli(
+            capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", "-3", "--signs=--"
+        )
+        assert (code, err) == (0, "")
+        document = assert_valid_document(out)
+        assert document["input"]["signs"] == "--"
+        assert [p["signs"] for p in document["presentations"]] == ["--"]
+        for argv in (("table", "--m-max=--"), ("classify", "--m=--", "--n", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "invalid int value: '--'" in err
+
     def test_closed_stdout_exits_zero_without_traceback(self):
         # like `contact-kirby convert ... | head -1`; the output (2048
         # presentations) is far larger than a pipe buffer, so the child is
@@ -474,7 +488,7 @@ class TestBounds:
 
 
 class TestPresentationText:
-    """The ``--format table`` text of convert and analyze, in full."""
+    """The ``--format table`` text of every command, in full."""
 
     CONVERT_3_2 = """\
 presentation 1 of 4 (signs: ++)
@@ -541,6 +555,42 @@ presentation 1 of 1 (signs: (none))
   tb_new=1 rot_new=0 bennequin violated (slack -2)
 """
 
+    CLASSIFY_2_3 = """\
+diagram: m=2 n=3 rot=-1 (collection C2)
+  branch +: tb_new=-2 rot_new=3 bennequin violated (slack -2) -> overtwisted-certified
+  branch -: tb_new=-2 rot_new=-1 bennequin satisfied (slack 0) -> tight (asserted)
+summary: potential contact Kirby move of type 1: 1 of 2 presentations consistent \
+with the standard tight 3-sphere (tightness asserted, not computed)
+"""
+
+    CLASSIFY_1_0 = """\
+diagram: m=1 n=0 rot=0 (collection C1)
+  contact 0-surgery yields an overtwisted contact structure -> overtwisted-certified
+summary: not a candidate move: contact 0-surgery yields an overtwisted contact structure
+"""
+
+    CLASSIFY_3_2 = """\
+diagram: m=3 n=2 rot=-2 (collection C1)
+  branch +: tb_new=0 rot_new=3 bennequin violated (slack -4) -> overtwisted-certified
+  branch -: tb_new=0 rot_new=1 bennequin violated (slack -2) -> overtwisted-certified
+summary: not a candidate move: all 2 presentations certify an overtwisted structure
+"""
+
+    TABLE_3 = """\
+m  n  collection  branches                                            survivor
+1  0  C1          0-surgery: overtwisted-certified                    no
+1  2  C2          +: tight (asserted); -: tight (asserted)            yes
+2  1  C1          (none): overtwisted-certified                       no
+2  3  C2          +: overtwisted-certified; -: tight (asserted)       yes
+3  2  C1          +: overtwisted-certified; -: overtwisted-certified  no
+3  4  C2          +: overtwisted-certified; -: tight (asserted)       yes
+"""
+
+    EXPAND_7_3 = """\
+[-4, -2, -2]
+round-trip: -7/3
+"""
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -553,6 +603,11 @@ presentation 1 of 1 (signs: (none))
                 ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "1/2", "--lk", "1"),
                 ANALYZE_1_2,
             ),
+            (("classify", "--m", "2", "--n", "3"), CLASSIFY_2_3),
+            (("classify", "--m", "1", "--n", "0"), CLASSIFY_1_0),
+            (("classify", "--m", "3", "--n", "2"), CLASSIFY_3_2),
+            (("table", "--m-max", "3"), TABLE_3),
+            (("expand", "-7/3"), EXPAND_7_3),
         ],
     )
     def test_full_text(self, capsys, argv, expected):

@@ -198,6 +198,32 @@ class TestMatrixTypes:
         with pytest.raises(InvalidInputError):
             IntMatrix([])
 
+    @pytest.mark.parametrize("entry", [Fraction(1), True, 1.0])
+    def test_int_matrix_rejects_values_equal_to_integers(self, entry):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            IntMatrix([[entry]])
+
+    def test_rational_matrix_shape_checks(self):
+        with pytest.raises(InvalidInputError, match="at least one row"):
+            RationalMatrix([])
+        with pytest.raises(InvalidInputError, match="square"):
+            RationalMatrix([[1, 2]])
+
+    def test_equality_is_type_strict(self):
+        assert IntMatrix([[1]]) != RationalMatrix([[1]])
+        assert RationalMatrix([[1]]) != IntMatrix([[1]])
+        assert RationalMatrix([[1]]) == RationalMatrix([[Fraction(2, 2)]])
+        assert hash(IntMatrix([[1, 2], [3, 4]])) == hash(IntMatrix([[1, 2], [3, 4]]))
+
+    def test_reprs_and_columns(self):
+        assert repr(IntMatrix([[1, -2], [3, 4]])) == "IntMatrix([[1, -2], [3, 4]])"
+        matrix = RationalMatrix([[Fraction(1, 2), 0], [0, 1]])
+        assert repr(matrix) == (
+            "RationalMatrix([[Fraction(1, 2), Fraction(0, 1)], "
+            "[Fraction(0, 1), Fraction(1, 1)]])"
+        )
+        assert (matrix.n, matrix.column(0)) == (2, (Fraction(1, 2), 0))
+
 
 class TestContinuants:
     def test_trailing_minors_of_random_tridiagonals(self):

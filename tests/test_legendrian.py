@@ -48,6 +48,12 @@ class TestValidateUnknot:
         with pytest.raises(InvalidLegendrianError):
             LegendrianUnknot(-1, 1)
 
+    @pytest.mark.parametrize("tb, rot", [(-2, 1.0), (-1.0, 0), (-2, True)])
+    def test_invariants_must_be_exact_ints(self, tb, rot):
+        # each pair equals a valid one, but is not a pair of ints
+        with pytest.raises(InvalidLegendrianError, match="must be integers"):
+            LegendrianUnknot(tb, rot)
+
 
 class TestStabilize:
     def test_plus_on_candidate(self):
@@ -66,6 +72,11 @@ class TestStabilize:
     def test_bad_sign(self):
         with pytest.raises(InvalidInputError):
             stabilize(LegendrianUnknot(-1, 0), 2)
+
+    @pytest.mark.parametrize("sign", [1.0, True, -1.0])
+    def test_sign_must_be_an_exact_int(self, sign):
+        with pytest.raises(InvalidInputError, match="sign must be"):
+            stabilize(LegendrianUnknot(-1, 0), sign)
 
     def test_always_valid_random_sequences(self):
         rng = random.Random(424242)

@@ -175,6 +175,11 @@ class TestConvert:
         with pytest.raises(InvalidInputError):
             convert(LegendrianUnknot(-3, -2), 4, [2])
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_sign_values_must_be_exact_ints(self, sign):
+        with pytest.raises(InvalidInputError, match="signs must be"):
+            convert(LegendrianUnknot(-1, 0), 2, [sign])
+
 
 class TestEnumerate:
     def test_chain_family_two_branches(self):
