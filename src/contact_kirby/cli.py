@@ -57,6 +57,8 @@ SCHEMA_VERSION = 1
 MAX_BRANCH_BITS = 16
 # table --m-max 1000 takes about 8 s, and the work grows as m_max^2
 MAX_M_MAX = 1000
+# the branch-cap message writes the branch count in decimal up to 2^64 only
+_SPELLED_BRANCH_BITS = 64
 
 _INT_ONLY = frozenset((int,))
 # JSON text of the scalar types the documents hold, by exact type
@@ -70,8 +72,9 @@ _SCALARS = {
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # argparse only accepts leading-dash tokens as positionals/values when its
-# negative-number matcher recognizes them; widen it to cover -p/q.
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$")
+# negative-number matcher recognizes them; widen it to cover -p/q and sign
+# strings such as -+ (``--`` alone still ends the options).
+_NEGATIVE_TOKEN = re.compile(r"^-(\d+(/\d+)?|[+-]+)$")
 
 
 def parse_rational(text) -> Fraction:
@@ -86,6 +89,8 @@ def parse_rational(text) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise InvalidInputError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InvalidInputError(f"coefficient is too long to read: {exc}") from exc
 
 
 def parse_signs(text: str) -> tuple:
@@ -281,6 +286,8 @@ def _diagram_from_args(args):
             raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"invalid JSON in {args.input}: {exc}") from exc
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("diagram document must be a JSON object")
         knot_doc = raw.get("knot")
@@ -319,8 +326,12 @@ def _presentations(knot, coefficient, signs):
     if signs is None:
         budget = stabilization_budget(coefficient)
         if budget > MAX_BRANCH_BITS:
+            if budget <= _SPELLED_BRANCH_BITS:
+                count = str(2 ** budget)
+            else:
+                count = f"over {2 ** _SPELLED_BRANCH_BITS}"
             raise InvalidInputError(
-                f"coefficient {coefficient} has {2 ** budget} stabilization "
+                f"coefficient {coefficient} has {count} stabilization "
                 f"branches (2^{budget}); without --signs at most "
                 f"{2 ** MAX_BRANCH_BITS} (2^{MAX_BRANCH_BITS}) are listed"
             )
@@ -536,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--signs",
             help=(
                 "stabilization signs as a string over + and - (default: all "
-                f"branches, at most 2^{MAX_BRANCH_BITS} of them)"
+                f"branches, at most 2^{MAX_BRANCH_BITS} of them); two minus "
+                "signs must be written --signs=--"
             ),
         )
         sub.add_argument("--input", help="read a diagram document (JSON) instead of flags")

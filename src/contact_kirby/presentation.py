@@ -15,21 +15,23 @@ deterministically, by a link of contact (+1)- and (-1)-surgeries:
   stabilizations and a contact (-1) coefficient.
 
 Each stabilization consumes one sign from the caller, so a conversion
-with s stabilizations has 2^s distinct presentations.  A Legendrian
-unknot is fixed by (tb, rot), so each chain component is built in one
-step from how many of its signs are positive.  Every component is a
-push-off of the one before it, so its ``parent`` is derived from its
-index, never stored.  Linking numbers inside the resulting link follow
-the parallel-copy rule: a push-off taken along the contact framing links
-its parent, and every later descendant of it, by the parent's tb at
-push-off time.
+with s stabilizations has 2^s distinct presentations.  A presentation is
+its knot, its coefficient and its signs: ``Presentation(k, r, s) ==
+convert(k, r, s)``, and its components are derived from those three on
+construction.  A Legendrian unknot is fixed by (tb, rot), so each chain
+component is built in one step from how many of its signs are positive.
+Every component is a push-off of the one before it, so its ``parent`` is
+derived from its index, never stored.  Linking numbers inside the
+resulting link follow the parallel-copy rule: a push-off taken along the
+contact framing links its parent, and every later descendant of it, by
+the parent's tb at push-off time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -96,41 +98,46 @@ class Component:
 
 @dataclass(frozen=True)
 class Presentation:
-    """An ordered (+/-1)-surgery link replacing one rational contact surgery."""
+    """An ordered (+/-1)-surgery link replacing one rational contact surgery.
 
-    components: tuple
+    A presentation is its knot, its coefficient and its stabilization
+    signs; ``components`` is derived from them once, on construction, so
+    equality and hashing read only those three.
+    """
+
     source_knot: LegendrianUnknot
     source_coefficient: Fraction
     sign_choice: tuple
+    components: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "sign_choice", tuple(self.sign_choice))
-        self._check_structure()
-
-    def _check_structure(self):
-        if not self.components:
-            raise InvalidInputError("presentation needs at least one component")
-        budget = sum(c.stabilizations for c in self.components)
-        if budget != len(self.sign_choice):
+        knot = self.source_knot
+        coefficient = _as_fraction(self.source_coefficient)
+        sign_choice = tuple(self.sign_choice)
+        if any(type(s) is not int or s not in (1, -1) for s in sign_choice):
+            raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
+        plus_count, expansion = _conversion_plan(coefficient)
+        needed = expansion.total_stabilizations if expansion is not None else 0
+        if len(sign_choice) != needed:
             raise InvalidInputError(
-                f"sign vector length {len(self.sign_choice)} does not match "
-                f"{budget} recorded stabilizations"
+                f"sign vector has length {len(sign_choice)} but this conversion "
+                f"stabilizes {needed} times"
             )
-        for pos, comp in enumerate(self.components):
-            if comp.index != pos:
-                raise InvalidInputError("component indices must match positions")
-            if comp.contact_sign not in (1, -1):
-                raise InvalidInputError("contact coefficients must be +1 or -1")
-            if comp.contact_sign == 1 and comp.stabilizations:
-                raise InvalidInputError(
-                    "(+1) components are never stabilized, only chain members are"
-                )
-            base = self.components[pos - 1].knot if pos else self.source_knot
-            if comp.knot.tb != base.tb - comp.stabilizations:
-                raise InvalidInputError("tb bookkeeping mismatch")
-            if comp.knot.rot != base.rot + comp.stabs_pos - comp.stabs_neg:
-                raise InvalidInputError("rot bookkeeping mismatch")
+
+        # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
+        components = [Component(i, knot, 1) for i in range(plus_count)]
+        if expansion is not None:
+            current = knot
+            start = 0
+            for count in expansion.stabilization_counts:
+                pos = sign_choice[start:start + count].count(1)
+                neg = count - pos
+                start += count
+                current = LegendrianUnknot(current.tb - count, current.rot + pos - neg)
+                components.append(Component(len(components), current, -1, pos, neg))
+        object.__setattr__(self, "source_coefficient", coefficient)
+        object.__setattr__(self, "sign_choice", sign_choice)
+        object.__setattr__(self, "components", tuple(components))
 
     @property
     def signs_string(self) -> str:
@@ -223,30 +230,7 @@ def convert(
     ``signs`` fixes the stabilization choices, consumed chain-first and
     left to right; its length must equal :func:`stabilization_budget`.
     """
-    coefficient = _as_fraction(coefficient)
-    sign_choice = tuple(signs)
-    if any(type(s) is not int or s not in (1, -1) for s in sign_choice):
-        raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
-    plus_count, expansion = _conversion_plan(coefficient)
-    needed = expansion.total_stabilizations if expansion is not None else 0
-    if len(sign_choice) != needed:
-        raise InvalidInputError(
-            f"sign vector has length {len(sign_choice)} but this conversion "
-            f"stabilizes {needed} times"
-        )
-
-    # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
-    components = [Component(i, knot, 1) for i in range(plus_count)]
-    if expansion is not None:
-        current = knot
-        start = 0
-        for count in expansion.stabilization_counts:
-            pos = sign_choice[start:start + count].count(1)
-            neg = count - pos
-            start += count
-            current = LegendrianUnknot(current.tb - count, current.rot + pos - neg)
-            components.append(Component(len(components), current, -1, pos, neg))
-    return Presentation(tuple(components), knot, coefficient, sign_choice)
+    return Presentation(knot, coefficient, signs)
 
 
 def enumerate_presentations(
@@ -321,18 +305,7 @@ def rot_vector(presentation: Presentation) -> tuple:
 
 def mirror(presentation: Presentation) -> Presentation:
     """The mirror presentation: every rot negated, stabilization signs flipped."""
-    comps = tuple(
-        Component(
-            c.index,
-            legendrian.mirror(c.knot),
-            c.contact_sign,
-            c.stabs_neg,
-            c.stabs_pos,
-        )
-        for c in presentation.components
-    )
     return Presentation(
-        comps,
         legendrian.mirror(presentation.source_knot),
         presentation.source_coefficient,
         tuple(-s for s in presentation.sign_choice),

@@ -394,6 +394,20 @@ class TestContract:
             assert (code, out) == (2, "")
             assert "invalid int value: '--'" in err
 
+    @pytest.mark.parametrize("command", ["convert", "analyze"])
+    @pytest.mark.parametrize(
+        "signs, coeff", [("-+", "-3"), ("+-", "-3"), ("--+", "-4"), ("---", "-4")]
+    )
+    def test_signs_value_may_start_with_a_dash(self, capsys, command, signs, coeff):
+        argv = [command, "--tb", "-1", "--rot", "0", "--coeff", coeff]
+        if command == "analyze":
+            argv += ["--lk", "0"]
+        separate = run_cli(capsys, *argv, "--signs", signs)
+        joined = run_cli(capsys, *argv, f"--signs={signs}")
+        assert separate == joined
+        assert separate[0] == 0
+        assert [p["signs"] for p in json.loads(separate[1])["presentations"]] == [signs]
+
     def test_closed_stdout_exits_zero_without_traceback(self):
         # like `contact-kirby convert ... | head -1`; the output (2048
         # presentations) is far larger than a pipe buffer, so the child is
@@ -481,10 +495,59 @@ class TestBounds:
         assert code == 0
         assert len(json.loads(out)["presentations"]) == 1
 
+    def test_a_huge_budget_is_not_written_out(self, capsys):
+        # 2^99999999 is never built; the message stays one short line
+        code, out, err = run_cli(
+            capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", "-100000000"
+        )
+        assert (code, out) == (2, "")
+        assert f"has over {2 ** 64} stabilization branches (2^99999999)" in err
+        assert len(err) < 200
+
     def test_m_max_above_the_bound_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "table", "--m-max", "1001")
         assert (code, out) == (2, "")
         assert "1000" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python reads integers of any length",
+)
+class TestIntegerDigitLimit:
+    """Integers longer than Python converts from text exit 2, not with a traceback."""
+
+    @staticmethod
+    def too_long():
+        return "9" * (sys.get_int_max_str_digits() + 101)
+
+    @pytest.mark.parametrize("template", ["-{}", "-1/{}", "-{}/7"])
+    def test_coefficients(self, capsys, template):
+        coefficient = template.format(self.too_long())
+        for argv in (
+            ("expand", coefficient),
+            ("convert", "--tb", "-1", "--rot", "0", "--coeff", coefficient),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: coefficient is too long to read")
+
+    def test_input_document(self, tmp_path, capsys):
+        path = tmp_path / "diagram.json"
+        path.write_text(
+            '{"knot": {"type": "unknot", "tb": -%s, "rot": 0}, "coefficient": 1}'
+            % self.too_long()
+        )
+        code, out, err = run_cli(capsys, "convert", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}")
+
+    def test_flags(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "--tb", "-" + self.too_long(), "--rot", "0", "--coeff", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "invalid int value" in err
 
 
 class TestPresentationText:

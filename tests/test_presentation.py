@@ -166,19 +166,22 @@ class TestConvert:
             convert(LegendrianUnknot(-1, 0), 0)
 
     def test_wrong_sign_count_rejected(self):
-        with pytest.raises(InvalidInputError):
-            convert(LegendrianUnknot(-3, -2), 4, [])
-        with pytest.raises(InvalidInputError):
-            convert(LegendrianUnknot(-1, 0), 1, [1])
+        for build in (convert, Presentation):
+            with pytest.raises(InvalidInputError):
+                build(LegendrianUnknot(-3, -2), 4, [])
+            with pytest.raises(InvalidInputError):
+                build(LegendrianUnknot(-1, 0), 1, [1])
 
     def test_bad_sign_values_rejected(self):
-        with pytest.raises(InvalidInputError):
-            convert(LegendrianUnknot(-3, -2), 4, [2])
+        for build in (convert, Presentation):
+            with pytest.raises(InvalidInputError):
+                build(LegendrianUnknot(-3, -2), 4, [2])
 
     @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
     def test_sign_values_must_be_exact_ints(self, sign):
-        with pytest.raises(InvalidInputError, match="signs must be"):
-            convert(LegendrianUnknot(-1, 0), 2, [sign])
+        for build in (convert, Presentation):
+            with pytest.raises(InvalidInputError, match="signs must be"):
+                build(LegendrianUnknot(-1, 0), 2, [sign])
 
 
 class TestEnumerate:
@@ -340,44 +343,54 @@ class TestMirror:
 
 
 class TestStructureChecks:
-    """A hand-built ``Presentation`` is validated like a converted one."""
+    """A presentation is fixed by its knot, coefficient and signs."""
 
-    @staticmethod
-    def rebuilt(pres, position=None, signs=None, **changes):
-        comps = list(pres.components)
-        if position is not None:
-            comps[position] = replace(comps[position], **changes)
-        return Presentation(
-            tuple(comps),
-            pres.source_knot,
-            pres.source_coefficient,
-            pres.sign_choice if signs is None else signs,
-        )
-
-    def test_a_converted_presentation_rebuilds(self):
+    def test_replacing_the_signs_rebuilds_the_components(self):
         pres = convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, -1])
-        assert self.rebuilt(pres) == pres
+        both_plus = replace(pres, sign_choice=(1, 1))
+        assert both_plus == convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, 1])
+        assert both_plus.components[1].knot == LegendrianUnknot(-3, 2)
 
-    @pytest.mark.parametrize(
-        "position, signs, changes, message",
-        [
-            (None, (1, -1, 1), {}, "sign vector length"),
-            (1, None, {"index": 0}, "indices must match positions"),
-            (1, None, {"contact_sign": 2}, "must be \\+1 or -1"),
-            # one more sign keeps the count balanced, so this check is reached
-            (0, (1, 1, -1), {"stabs_pos": 1}, "never stabilized"),
-            (1, None, {"knot": LegendrianUnknot(-5, 0)}, "tb bookkeeping"),
-            (1, None, {"knot": LegendrianUnknot(-3, 2)}, "rot bookkeeping"),
-        ],
-    )
-    def test_malformed_presentations_are_rejected(
-        self, position, signs, changes, message
-    ):
-        # 3/2 on the standard unknot: a (+1) knot, then a (-1) push-off
-        # stabilized once each way, so component 1 is (tb -3, rot 0)
-        pres = convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, -1])
-        with pytest.raises(InvalidInputError, match=message):
-            self.rebuilt(pres, position, signs, **changes)
+    def test_components_follow_the_conversion_rule(self):
+        rng = random.Random(6119)
+        for _ in range(200):
+            k = random_valid_unknot(rng)
+            num = rng.randint(-20, 20) or 1
+            r = Fraction(num, rng.randint(1, 10))
+            signs = tuple(rng.choice((1, -1)) for _ in range(stabilization_budget(r)))
+            pres = convert(k, r, signs)
+            assert pres == Presentation(k, r, signs)
+            assert [c.index for c in pres.components] == list(range(len(pres.components)))
+            plus = [c for c in pres.components if c.contact_sign == 1]
+            assert pres.components[:len(plus)] == tuple(plus)
+            assert all(c.knot == k and c.stabilizations == 0 for c in plus)
+            chain = pres.components[len(plus):]
+            counts = ()
+            if chain:
+                # after n (+1) peels the residual is 1/(1/r - n)
+                counts = expand_negative(r / (1 - len(plus) * r)).stabilization_counts
+            assert len(chain) == len(counts)
+            prev, start = k, 0
+            for comp, count in zip(chain, counts):
+                pos = signs[start:start + count].count(1)
+                neg = count - pos
+                start += count
+                assert comp.contact_sign == -1
+                assert (comp.stabs_pos, comp.stabs_neg) == (pos, neg)
+                assert comp.knot.tb == prev.tb - count
+                assert comp.knot.rot == prev.rot + pos - neg
+                prev = comp.knot
+            assert start == len(signs)
+            flipped = mirror(pres)
+            assert flipped.components == tuple(
+                replace(
+                    c,
+                    knot=LegendrianUnknot(c.knot.tb, -c.knot.rot),
+                    stabs_pos=c.stabs_neg,
+                    stabs_neg=c.stabs_pos,
+                )
+                for c in pres.components
+            )
 
     def test_parent_is_the_previous_component(self):
         rng = random.Random(5040)
