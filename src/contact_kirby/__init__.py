@@ -41,6 +41,7 @@ from .presentation import (
     CFExpansion,
     Component,
     Presentation,
+    component_count,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -91,6 +92,7 @@ __all__ = [
     "apply",
     "bennequin",
     "classify",
+    "component_count",
     "contact_framing_curve",
     "convert",
     "det",

@@ -20,9 +20,25 @@ presentations: each document is built and written to stdout as one
 string when its turn comes, so only one presentation's text is held in
 memory at a time.
 ``analyze`` runs every solve first, so an exit 3 prints nothing.
-Without ``--signs`` both refuse a coefficient with more than
+
+The branches of one surgery differ only in their stabilization signs,
+so they share most of their documents.  A chain component's tb does not
+depend on the signs, so every branch has the same linking matrix, and
+the component documents repeat across branches.  Such a shared part is
+a :class:`Fragment`, whose text is rendered once and then reused.  A
+:class:`_SharedDocs` made for one invocation holds them: one fragment
+per distinct component, and per distinct linking matrix one fragment of
+its rows and, for ``convert``, its dense det, which so runs once per
+surgery rather than once per branch.  Nothing is kept between
+invocations.  ``analyze`` shares only the fragments: it still runs one
+dense ``invert`` and one dense ``det`` per branch, the solve the
+benchmark's own test pins.
+
+Both refuse a coefficient that converts into more than MAX_COMPONENTS
+components, and, without ``--signs``, one with more than
 2^MAX_BRANCH_BITS stabilization branches; ``table`` refuses an
-``--m-max`` above MAX_M_MAX.
+``--m-max`` above MAX_M_MAX.  An integer too long for Python to write
+(``sys.get_int_max_str_digits()``) exits 2 before anything is printed.
 """
 
 from __future__ import annotations
@@ -35,13 +51,16 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
-from .exact import det
+from .exact import IntMatrix, det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
+    Component,
     Presentation,
+    component_count,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -55,6 +74,9 @@ SCHEMA_VERSION = 1
 
 # convert/analyze without --signs enumerate at most 2^16 branches
 MAX_BRANCH_BITS = 16
+# convert/analyze refuse a coefficient with more components, with or
+# without --signs: 1/128 takes under a second, 1/256 several
+MAX_COMPONENTS = 128
 # table --m-max 1000 takes about 8 s, and the work grows as m_max^2
 MAX_M_MAX = 1000
 # the branch-cap message writes the branch count in decimal up to 2^64 only
@@ -120,6 +142,31 @@ def canonical_json(document, write=None) -> str:
     return ""
 
 
+class Fragment:
+    """A finished sub-document whose JSON text is rendered once per indent.
+
+    ``value`` is a document :func:`canonical_json` accepts, fragments
+    included, and must not change once wrapped: the first rendering at
+    each indent is kept and written again wherever the fragment recurs,
+    byte-identical to ``json.dumps`` of ``value`` at that place.
+    """
+
+    __slots__ = ("value", "_texts")
+
+    def __init__(self, value):
+        self.value = value
+        self._texts = {}
+
+    def text(self, indent: str) -> str:
+        """The fragment's lines at ``indent``, joined, without head or tail."""
+        text = self._texts.get(indent)
+        if text is None:
+            lines = []
+            _put_lines(self.value, indent, "", "", lines, None)
+            text = self._texts[indent] = "\n".join(lines)
+        return text
+
+
 def _scalar(value) -> str:
     text = _SCALARS.get(type(value))
     if text is None:
@@ -131,8 +178,11 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
     """Append the lines of ``value``: ``head`` opens its first, ``tail`` ends its last.
 
     Items are appended with a trailing comma, which the last one then loses.
+    A fragment is appended as one multi-line string.
     """
-    if isinstance(value, dict):
+    if type(value) is Fragment:
+        lines.append(head + value.text(indent) + tail)
+    elif isinstance(value, dict):
         if not value:
             lines.append(head + "{}" + tail)
             return
@@ -204,18 +254,89 @@ def _component_doc(comp) -> dict:
     }
 
 
-def _presentation_doc(pres: Presentation) -> dict:
-    matrix = linking_matrix(pres)
+class _Matrix(NamedTuple):
+    """A linking matrix, its rows as one fragment, and its det when shared."""
+
+    matrix: IntMatrix
+    rows: Fragment
+    det: Optional[int]
+
+
+class _SharedDocs:
+    """The sub-documents the presentations of one invocation share, built once.
+
+    Branches of one surgery differ only in their stabilization signs.  A
+    chain component's tb is the knot's tb less the stabilizations so
+    far, whatever their signs, so every branch has the same linking
+    matrix, and only a few distinct component documents recur across
+    all branches.  Both are kept here, keyed by value: components by the
+    ``Component`` itself, matrices by the (tb, contact sign) vector that
+    ``linking_matrix`` reads.  A new instance is made per invocation, so
+    nothing carries over from one command to the next.
+    """
+
+    def __init__(self, shared_det: bool):
+        self._shared_det = shared_det
+        self._components = {}
+        self._matrices = {}
+
+    def component(self, comp: Component) -> Fragment:
+        fragment = self._components.get(comp)
+        if fragment is None:
+            fragment = self._components[comp] = Fragment(_component_doc(comp))
+        return fragment
+
+    def matrix(self, pres: Presentation) -> _Matrix:
+        """The linking matrix of ``pres``, checked printable when first built.
+
+        With ``shared_det`` its dense det is taken here, once per matrix.
+        Every component's |rot| is below its |tb| (the Bennequin
+        inequality), so checking the tbs checks the rots as well.
+        """
+        key = tuple((c.knot.tb, c.contact_sign) for c in pres.components)
+        entry = self._matrices.get(key)
+        if entry is None:
+            matrix = linking_matrix(pres)
+            determinant = det(matrix) if self._shared_det else None
+            shown = [tb for tb, _ in key] + [x for row in matrix.entries for x in row]
+            _check_printable(shown if determinant is None else shown + [determinant])
+            rows = Fragment([list(row) for row in matrix.entries])
+            entry = self._matrices[key] = _Matrix(matrix, rows, determinant)
+        return entry
+
+
+def _check_printable(values) -> None:
+    """Refuse an integer that ``int.__repr__`` would not write out.
+
+    Python refuses to convert integers longer than
+    ``sys.get_int_max_str_digits()`` decimal digits to text.  The
+    commands check every such value before the first byte is written,
+    so a refused output is empty rather than cut off.
+    """
+    # 0 where the limit is off; before Python 3.10.7 there is none
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    for value in values:
+        # under 3 (limit - 1) bits, a value has fewer than limit digits
+        if value.bit_length() >= 3 * (limit - 1) and abs(value) >= 10 ** limit:
+            raise InvalidInputError(
+                f"an output integer has more than {limit} digits, Python's "
+                f"limit for writing integers (sys.get_int_max_str_digits())"
+            )
+
+
+def _presentation_doc(pres: Presentation, shared: _SharedDocs, rows, determinant) -> dict:
     return {
         "signs": pres.signs_string,
-        "components": [_component_doc(c) for c in pres.components],
-        "linking_matrix": [list(row) for row in matrix.entries],
-        "determinant": det(matrix),
+        "components": [shared.component(c) for c in pres.components],
+        "linking_matrix": rows,
+        "determinant": determinant,
     }
 
 
-def _analysis_doc(pres: Presentation, invariants, check) -> dict:
-    doc = _presentation_doc(pres)
+def _analysis_doc(shared, pres, rows, determinant, invariants, check) -> dict:
+    doc = _presentation_doc(pres, shared, rows, determinant)
     doc["invariants"] = {
         "tb_new": invariants.tb_new,
         "rot_new": invariants.rot_new,
@@ -323,6 +444,11 @@ def _diagram_from_args(args):
 
 
 def _presentations(knot, coefficient, signs):
+    if component_count(coefficient, MAX_COMPONENTS) > MAX_COMPONENTS:
+        raise InvalidInputError(
+            f"coefficient {coefficient} converts into more than "
+            f"{MAX_COMPONENTS} components; at most {MAX_COMPONENTS} are supported"
+        )
     if signs is None:
         budget = stabilization_budget(coefficient)
         if budget > MAX_BRANCH_BITS:
@@ -346,6 +472,7 @@ def _presentations(knot, coefficient, signs):
 def _cmd_expand(args) -> tuple:
     value = parse_rational(args.coefficient)
     coeffs = list(expand_negative(value).coeffs)
+    _check_printable(coeffs)
     round_trip = evaluate_cf([coeffs[0] + 1] + coeffs[1:])
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -360,7 +487,13 @@ def _cmd_expand(args) -> tuple:
 def _cmd_convert(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _presentations(knot, coefficient, signs)
-    docs = (_presentation_doc(p) for p in presentations)
+    shared = _SharedDocs(shared_det=True)
+    # every matrix and det is built and checked before anything is printed
+    matrices = [shared.matrix(p) for p in presentations]
+    docs = (
+        _presentation_doc(p, shared, m.rows, m.det)
+        for p, m in zip(presentations, matrices)
+    )
     return _presentations_doc("convert", echo, docs, len(presentations))
 
 
@@ -373,13 +506,21 @@ def _cmd_analyze(args) -> tuple:
         "lk": ext.lk_with_original,
     }
     presentations = _presentations(knot, coefficient, signs)
+    shared = _SharedDocs(shared_det=False)
     # every solve runs before anything is printed, so exit 3 prints nothing
     results = []
     for pres in presentations:
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
-        results.append((pres, invariants, check))
-    docs = (_analysis_doc(*result) for result in results)
+        matrix = shared.matrix(pres)
+        # Only the documents are shared here: each branch still gets its
+        # own dense inverse and det, which the benchmark's own test pins
+        # (one of each per branch of a traced analyze) until that test
+        # moves to the shared solve.
+        determinant = det(matrix.matrix)
+        _check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
+        results.append((pres, matrix.rows, determinant, invariants, check))
+    docs = (_analysis_doc(shared, *result) for result in results)
     return _presentations_doc("analyze", echo, docs, len(results))
 
 
@@ -427,6 +568,11 @@ def _cmd_table(args) -> tuple:
 # text rendering of the documents
 
 
+def _unwrap(value):
+    """The document a fragment stands for; any other value as it is."""
+    return value.value if type(value) is Fragment else value
+
+
 def _print_expansion_text(doc) -> None:
     print(str(doc["coefficients"]))
     print(f"round-trip: {doc['round_trip']}")
@@ -435,7 +581,7 @@ def _print_expansion_text(doc) -> None:
 def _print_presentation_text(idx, total, doc) -> None:
     """Print one presentation document, with its invariants if it has them."""
     print(f"presentation {idx + 1} of {total} (signs: {doc['signs'] or '(none)'})")
-    for comp in doc["components"]:
+    for comp in map(_unwrap, doc["components"]):
         parent = "-" if comp["parent"] is None else str(comp["parent"])
         stabs = comp["stabilizations"]
         print(
@@ -444,7 +590,7 @@ def _print_presentation_text(idx, total, doc) -> None:
             f"topological={comp['topological_coeff']:+d} "
             f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}"
         )
-    matrix = doc["linking_matrix"]
+    matrix = _unwrap(doc["linking_matrix"])
     print("  linking matrix:")
     width = max(len(str(x)) for row in matrix for x in row)
     for row in matrix:

@@ -174,16 +174,24 @@ def expand_negative(r: Coefficient) -> CFExpansion:
     r = Fraction(r)
     if r >= 0:
         raise InvalidInputError(f"only negative coefficients expand (got {r})")
-    coeffs = []
-    x = r
-    while True:
-        c = x.numerator // x.denominator  # floor for exact rationals
-        coeffs.append(c)
-        if x == c:
-            break
-        x = 1 / (c - x)
+    coeffs = list(_floor_expansion(r))
     coeffs[0] -= 1
     return CFExpansion(tuple(coeffs))
+
+
+def _floor_expansion(x: Fraction):
+    """Yield c = floor(x), then continue with x <- 1/(c - x), until x == c.
+
+    Integer Euclid on x = p/q: with p = c q + rest (0 <= rest < q),
+    c - x = -rest/q, so the next x is -q/rest.
+    """
+    p, q = x.numerator, x.denominator
+    while True:
+        c, rest = divmod(p, q)
+        yield c
+        if rest == 0:
+            return
+        p, q = -q, rest
 
 
 def _as_fraction(coefficient: Coefficient) -> Fraction:
@@ -193,6 +201,28 @@ def _as_fraction(coefficient: Coefficient) -> Fraction:
         raise InvalidInputError(f"not an exact rational: {coefficient!r}") from exc
 
 
+def _peel_plus(coefficient: Fraction) -> tuple:
+    """Number of contact (+1) components, and the negative residual if any.
+
+    The peeling step r -> r/(1 - r) takes p/q to p/(q - p): the numerator
+    stays and the denominator drops by p.  For p = 1 the steps end at
+    1/1, itself one more (+1) component, after q components in all.  For
+    p > 1, coprime to q, they pass 1 and end at p/(q mod p - p) < 0 after
+    q // p + 1 steps.  A negative coefficient is its own residual.
+    """
+    p, q = coefficient.numerator, coefficient.denominator
+    if p == 0:
+        raise ZeroSurgeryError(
+            "contact 0-surgery has no (+/-1)-surgery presentation"
+        )
+    if p < 0:
+        return 0, coefficient
+    steps, rest = divmod(q, p)
+    if rest == 0:
+        return q, None
+    return steps + 1, Fraction(p, rest - p)
+
+
 @functools.lru_cache(maxsize=256)
 def _conversion_plan(coefficient: Fraction):
     """Number of contact (+1) components, and the chain expansion if any.
@@ -200,18 +230,26 @@ def _conversion_plan(coefficient: Fraction):
     Cached because every branch of one surgery converts the same
     coefficient; the result, an int and a frozen expansion, is immutable.
     """
-    if coefficient == 0:
-        raise ZeroSurgeryError(
-            "contact 0-surgery has no (+/-1)-surgery presentation"
-        )
-    plus = 0
-    current = coefficient
-    while current > 0 and current != 1:
-        plus += 1
-        current = current / (1 - current)
-    if current == 1:
-        return plus + 1, None
-    return plus, expand_negative(current)
+    plus, residual = _peel_plus(coefficient)
+    if residual is None:
+        return plus, None
+    return plus, expand_negative(residual)
+
+
+def component_count(coefficient: Coefficient, at_most: int) -> int:
+    """Components of any conversion of ``coefficient``, exact up to ``at_most``.
+
+    Every branch has the same number of components.  Above ``at_most``
+    some larger number is returned: the (+1) count is closed-form and the
+    chain is followed at most one component past the bound, so a
+    coefficient such as 1/10^9 or -(10^9 + 1)/10^9, whose conversion
+    never ends in practice, is counted in bounded time.
+    """
+    plus, residual = _peel_plus(_as_fraction(coefficient))
+    if residual is None or plus > at_most:
+        return plus
+    chain = itertools.islice(_floor_expansion(residual), at_most + 1 - plus)
+    return plus + sum(1 for _ in chain)
 
 
 def stabilization_budget(coefficient: Coefficient) -> int:

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_kirby.cli import canonical_json
+from contact_kirby.cli import Fragment, canonical_json
 
 
 def reference(document) -> str:
@@ -70,6 +70,67 @@ def test_empty_stream_is_an_empty_array():
     assert "".join(chunks) == reference({"a": []})
 
 
+def unwrap(document):
+    """The plain document a document with fragments stands for."""
+    if isinstance(document, Fragment):
+        return unwrap(document.value)
+    if isinstance(document, dict):
+        return {key: unwrap(value) for key, value in document.items()}
+    if isinstance(document, (list, tuple)):
+        return [unwrap(item) for item in document]
+    return document
+
+
+# any subtree, the whole document included, may be wrapped, and wrapped again
+with_fragments = st.recursive(
+    scalars | scalars.map(Fragment),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(strings, inner)
+    | inner.map(Fragment),
+    max_leaves=40,
+)
+
+
+@given(with_fragments)
+def test_fragments_match_json_dumps_of_their_values(document):
+    assert canonical_json(document) == reference(unwrap(document))
+
+
+@given(st.lists(with_fragments, max_size=3), with_fragments)
+def test_streamed_fragments_match_json_dumps(items, rest):
+    chunks = []
+    document = {"items": iter(items), "rest": rest}
+    assert canonical_json(document, chunks.append) == ""
+    assert "".join(chunks) == reference({"items": unwrap(items), "rest": unwrap(rest)})
+
+
+@given(documents)
+def test_one_fragment_reused_at_two_indents(value):
+    # rendered first at one indent and then at others, each from its own cache
+    fragment = Fragment(value)
+    document = {"deep": [[{"at": fragment}]], "top": fragment, "list": [fragment, 1]}
+    expected = reference({"deep": [[{"at": value}]], "top": value, "list": [value, 1]})
+    assert canonical_json(document) == expected
+    assert canonical_json(document) == expected
+    assert canonical_json(fragment) == reference(value)
+
+
+def test_a_fragment_renders_once_per_indent(monkeypatch):
+    from contact_kirby import cli
+
+    rendered = []
+    put_lines = cli._put_lines
+    monkeypatch.setattr(
+        cli, "_put_lines",
+        lambda value, indent, *rest: rendered.append((value, indent)) or put_lines(value, indent, *rest),
+    )
+    value = {"x": [1, 2]}
+    fragment = Fragment(value)
+    canonical_json([fragment, {"a": fragment}, fragment, [fragment]])
+    assert [indent for v, indent in rendered if v is value] == ["  ", "    "]
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -87,3 +148,12 @@ def test_empty_stream_is_an_empty_array():
 def test_rejects_what_the_cli_never_emits(document):
     with pytest.raises(TypeError):
         canonical_json(document)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [Fragment(Fraction(1, 2)), [Fragment({"a": 1.5})], Fragment(iter([1]))],
+)
+def test_a_fragment_holds_only_what_the_writer_accepts(document):
+    with pytest.raises(TypeError):
+        canonical_json(document, [].append)

@@ -504,6 +504,41 @@ class TestBounds:
         assert f"has over {2 ** 64} stabilization branches (2^99999999)" in err
         assert len(err) < 200
 
+    def test_component_cap_is_inclusive(self, capsys, monkeypatch):
+        from contact_kirby import cli
+
+        monkeypatch.setattr(cli, "MAX_COMPONENTS", 5)
+        # 1/5 peels five (+1) components; -6/5 expands into a chain of five
+        for coefficient, branches in (("1/5", 1), ("-6/5", 2)):
+            for signs in ((), ("--signs", "+" * (branches - 1))):
+                code, out, _ = run_cli(
+                    capsys, "convert", "--tb", "-1", "--rot", "0", "--coeff", coefficient, *signs
+                )
+                assert code == 0
+                document = json.loads(out)
+                assert [len(p["components"]) for p in document["presentations"]] == [5] * (
+                    branches if not signs else 1
+                )
+        for coefficient, signs in (("1/6", ()), ("-7/6", ()), ("-7/6", ("--signs", "+"))):
+            for command in (("convert",), ("analyze", "--lk", "1")):
+                code, out, err = run_cli(
+                    capsys, *command, "--tb", "-1", "--rot", "0", "--coeff", coefficient, *signs
+                )
+                assert (code, out) == (2, "")
+                assert "more than 5 components" in err
+
+    def test_endless_conversions_exit_2_at_once(self, capsys):
+        # stepping 1/N -> 1/(N-1), or expanding -(N+1)/N entry by entry,
+        # would never end for N = 10^18
+        for coefficient in ("1/1000000000000000000", "-1000000000000000001/1000000000000000000"):
+            for signs in ((), ("--signs", "+")):
+                code, out, err = run_cli(
+                    capsys, "analyze", "--tb", "-1", "--rot", "0", "--coeff", coefficient,
+                    "--lk", "1", *signs,
+                )
+                assert (code, out) == (2, "")
+                assert "more than 128 components" in err
+
     def test_m_max_above_the_bound_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "table", "--m-max", "1001")
         assert (code, out) == (2, "")
@@ -548,6 +583,78 @@ class TestIntegerDigitLimit:
         )
         assert (code, out) == (2, "")
         assert "invalid int value" in err
+
+    # Each input below has at most the limit's n digits, so it is read;
+    # some integer the command would print has n + 1.
+    @staticmethod
+    def longest():
+        """10^(n-1), the smallest integer with n digits."""
+        return 10 ** (sys.get_int_max_str_digits() - 1)
+
+    def test_solved_invariants_too_long_to_write(self, capsys):
+        # M = (tb + 1) = (-10^(n-1)); tb_new = -1 + 81 * 10^(n-1) has n + 1 digits
+        tb, lk = -(self.longest() + 1), 9 * self.longest()
+        for fmt in ("json", "table"):
+            code, out, err = run_cli(
+                capsys, "analyze", "--tb", str(tb), "--rot", "0", "--coeff", "1",
+                "--lk", str(lk), "--format", fmt,
+            )
+            assert (code, out) == (2, "")
+            assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_chain_values_too_long_to_write(self, capsys):
+        # tb = -(10^n - 1): the chain component's tb - 2, the determinant
+        # |-3 + tb| and the expansion [tb - 1] of tb itself all pass 10^n
+        tb = str(-(10 * self.longest() - 1))
+        for argv in (
+            ("convert", "--tb", tb, "--rot", "0", "--coeff", "-3"),
+            ("analyze", "--tb", tb, "--rot", "0", "--coeff", "-3", "--lk", "0"),
+            ("expand", tb),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_the_longest_writable_values_are_written(self, capsys):
+        tb = -(10 * self.longest() - 1)
+        code, out, _ = run_cli(capsys, "convert", "--tb", str(tb), "--rot", "0", "--coeff", "1")
+        assert code == 0
+        presentation = json.loads(out)["presentations"][0]
+        assert presentation["determinant"] == tb + 1
+
+
+class TestSharedDocuments:
+    """The sub-documents one surgery shares live for one invocation only."""
+
+    A = ("--tb", "-2", "--rot", "1", "--coeff", "-7/3")
+    B = ("--tb", "-2", "--rot", "-1", "--coeff", "3/2")
+
+    def test_invocations_print_what_each_prints_alone(self, capsys):
+        runs = [
+            (command, diagram, fmt)
+            for command in (("convert",), ("analyze", "--lk", "13"))
+            for diagram in (self.A, self.B, self.A)
+            for fmt in ("json", "table")
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        alone = {}
+        for command, diagram, fmt in set(runs):
+            argv = (*command, *diagram, "--format", fmt)
+            child = subprocess.run(
+                [sys.executable, "-m", "contact_kirby.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert child.returncode == 0, child.stderr
+            alone[argv] = child.stdout
+        for command, diagram, fmt in runs:
+            argv = (*command, *diagram, "--format", fmt)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == alone[argv]
 
 
 class TestPresentationText:

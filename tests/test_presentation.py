@@ -16,6 +16,7 @@ from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
     CFExpansion,
     Presentation,
+    component_count,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -403,3 +404,78 @@ class TestStructureChecks:
             for p in (pres, mirror(pres)):
                 for c in p.components:
                     assert c.parent == (c.index - 1 if c.index else None)
+
+
+def stepped_plus_count(r: Fraction):
+    """The (+1) count and residual by stepping r -> r/(1 - r) one peel at a time."""
+    plus = 0
+    while r > 0 and r != 1:
+        plus += 1
+        r = r / (1 - r)
+    if r == 1:
+        return plus + 1, None
+    return plus, r
+
+
+class TestComponentCount:
+    def test_closed_form_plus_count_matches_stepping(self):
+        from contact_kirby import presentation
+
+        rng = random.Random(3001)
+        for _ in range(400):
+            r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            assert presentation._peel_plus(r) == stepped_plus_count(r)
+        assert presentation._peel_plus(Fraction(-7, 3)) == (0, Fraction(-7, 3))
+
+    def test_counts_every_component_of_the_conversion(self):
+        rng = random.Random(3002)
+        for _ in range(300):
+            r = Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12))
+            pres = convert(LegendrianUnknot(-1, 0), r, [1] * stabilization_budget(r))
+            n = len(pres.components)
+            assert component_count(r, n) == n
+            assert component_count(r, 1000) == n
+            if n > 1:
+                assert component_count(r, n - 1) > n - 1
+
+    def test_long_conversions_are_counted_in_bounded_time(self):
+        # 10^18 (+1) components, or a chain of 10^18 entries, each refused
+        # after one step past the bound instead of being followed to the end
+        huge = 10 ** 18
+        assert component_count(Fraction(1, huge), 128) == huge
+        assert component_count(Fraction(-(huge + 1), huge), 128) == 129
+        assert component_count(Fraction(2, 2 * huge + 1), 3) > 3
+
+    def test_zero_is_refused(self):
+        with pytest.raises(ZeroSurgeryError):
+            component_count(0, 128)
+
+
+def random_small_surgery(rng):
+    """A random surgery with tb -1..-6, |p| <= 30, q <= 8 and budget <= 9."""
+    while True:
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 8))
+        if stabilization_budget(r) <= 9:
+            return random_valid_unknot(rng), r
+
+
+class TestBranchesShareTheLinkingMatrix:
+    """Every branch of one surgery has the same linking matrix M.
+
+    A chain component's tb is the knot's tb less the stabilizations so
+    far, whatever their signs, and M reads only tbs and contact signs;
+    so one det of M serves every branch, and |det M| = |p + q tb|.
+    """
+
+    def test_every_branch_has_the_same_matrix_and_det(self):
+        rng = random.Random(2740)
+        for _ in range(120):
+            knot, r = random_small_surgery(rng)
+            branches = enumerate_presentations(knot, r)
+            shared = linking_matrix(branches[0])
+            shared_det = det(shared)
+            assert abs(shared_det) == abs(r.numerator + r.denominator * knot.tb)
+            for pres in branches:
+                own = linking_matrix(pres)
+                assert own == shared
+                assert det(own) == shared_det
