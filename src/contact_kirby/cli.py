@@ -25,25 +25,25 @@ The branches of one surgery differ only in their stabilization signs,
 so they share most of their documents.  A chain component's tb does not
 depend on the signs, so every branch has the same linking matrix, and
 the component documents repeat across branches.  Such a shared part is
-a :class:`Fragment`, whose text is rendered once and then reused.  A
-:class:`_SharedDocs` made for one invocation holds them: one fragment
-per distinct component, and per distinct linking matrix one fragment of
-its rows and, for ``convert``, its dense det, which so runs once per
-surgery rather than once per branch.  Nothing is kept between
-invocations.  ``analyze`` shares only the fragments: it still runs one
-dense ``invert`` and one dense ``det`` per branch, the solve the
-benchmark's own test pins.
+a :class:`Fragment`, whose text is rendered once and then reused.  Each
+invocation builds the matrix once, wraps its rows in one fragment and,
+for ``convert``, takes its dense det once; component fragments come
+from a cache made in the command call, so nothing is kept between
+invocations.  ``analyze`` still runs one dense ``invert`` and one dense
+``det`` per branch, the solve the benchmark's own test pins.
 
 Both refuse a coefficient that converts into more than MAX_COMPONENTS
 components, and, without ``--signs``, one with more than
 2^MAX_BRANCH_BITS stabilization branches; ``table`` refuses an
-``--m-max`` above MAX_M_MAX.  An integer too long for Python to write
-(``sys.get_int_max_str_digits()``) exits 2 before anything is printed.
+``--m-max`` and ``classify`` an ``--m`` above MAX_M_MAX.  An integer
+too long for Python to write (``sys.get_int_max_str_digits()``) exits 2
+before anything is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -51,10 +51,9 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
-from .exact import IntMatrix, det
+from .exact import det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
 from .presentation import (
@@ -77,7 +76,8 @@ MAX_BRANCH_BITS = 16
 # convert/analyze refuse a coefficient with more components, with or
 # without --signs: 1/128 takes under a second, 1/256 several
 MAX_COMPONENTS = 128
-# table --m-max 1000 takes about 8 s, and the work grows as m_max^2
+# table --m-max 1000 takes about 8 s, and the work grows as m_max^2;
+# classify --m 1000 takes a fraction of a second, linear in m
 MAX_M_MAX = 1000
 # the branch-cap message writes the branch count in decimal up to 2^64 only
 _SPELLED_BRANCH_BITS = 64
@@ -242,8 +242,8 @@ def _knot_doc(knot: LegendrianUnknot) -> dict:
     return {"type": "unknot", "tb": knot.tb, "rot": knot.rot}
 
 
-def _component_doc(comp) -> dict:
-    return {
+def _component_fragment(comp: Component) -> Fragment:
+    return Fragment({
         "index": comp.index,
         "tb": comp.knot.tb,
         "rot": comp.knot.rot,
@@ -251,58 +251,7 @@ def _component_doc(comp) -> dict:
         "topological_coeff": comp.topological_coefficient,
         "parent": comp.parent,
         "stabilizations": {"plus": comp.stabs_pos, "minus": comp.stabs_neg},
-    }
-
-
-class _Matrix(NamedTuple):
-    """A linking matrix, its rows as one fragment, and its det when shared."""
-
-    matrix: IntMatrix
-    rows: Fragment
-    det: Optional[int]
-
-
-class _SharedDocs:
-    """The sub-documents the presentations of one invocation share, built once.
-
-    Branches of one surgery differ only in their stabilization signs.  A
-    chain component's tb is the knot's tb less the stabilizations so
-    far, whatever their signs, so every branch has the same linking
-    matrix, and only a few distinct component documents recur across
-    all branches.  Both are kept here, keyed by value: components by the
-    ``Component`` itself, matrices by the (tb, contact sign) vector that
-    ``linking_matrix`` reads.  A new instance is made per invocation, so
-    nothing carries over from one command to the next.
-    """
-
-    def __init__(self, shared_det: bool):
-        self._shared_det = shared_det
-        self._components = {}
-        self._matrices = {}
-
-    def component(self, comp: Component) -> Fragment:
-        fragment = self._components.get(comp)
-        if fragment is None:
-            fragment = self._components[comp] = Fragment(_component_doc(comp))
-        return fragment
-
-    def matrix(self, pres: Presentation) -> _Matrix:
-        """The linking matrix of ``pres``, checked printable when first built.
-
-        With ``shared_det`` its dense det is taken here, once per matrix.
-        Every component's |rot| is below its |tb| (the Bennequin
-        inequality), so checking the tbs checks the rots as well.
-        """
-        key = tuple((c.knot.tb, c.contact_sign) for c in pres.components)
-        entry = self._matrices.get(key)
-        if entry is None:
-            matrix = linking_matrix(pres)
-            determinant = det(matrix) if self._shared_det else None
-            shown = [tb for tb, _ in key] + [x for row in matrix.entries for x in row]
-            _check_printable(shown if determinant is None else shown + [determinant])
-            rows = Fragment([list(row) for row in matrix.entries])
-            entry = self._matrices[key] = _Matrix(matrix, rows, determinant)
-        return entry
+    })
 
 
 def _check_printable(values) -> None:
@@ -326,17 +275,31 @@ def _check_printable(values) -> None:
             )
 
 
-def _presentation_doc(pres: Presentation, shared: _SharedDocs, rows, determinant) -> dict:
+def _shared_matrix(pres: Presentation) -> tuple:
+    """The linking matrix all branches of ``pres``'s surgery share, and its rows.
+
+    Both are checked printable before anything is written.  Every
+    component's |rot| is below its |tb| (the Bennequin inequality), so
+    checking the tbs checks the rots as well.
+    """
+    matrix = linking_matrix(pres)
+    _check_printable(
+        [c.knot.tb for c in pres.components] + [x for row in matrix.entries for x in row]
+    )
+    return matrix, Fragment([list(row) for row in matrix.entries])
+
+
+def _presentation_doc(pres: Presentation, component, rows, determinant) -> dict:
     return {
         "signs": pres.signs_string,
-        "components": [shared.component(c) for c in pres.components],
+        "components": [component(c) for c in pres.components],
         "linking_matrix": rows,
         "determinant": determinant,
     }
 
 
-def _analysis_doc(shared, pres, rows, determinant, invariants, check) -> dict:
-    doc = _presentation_doc(pres, shared, rows, determinant)
+def _analysis_doc(pres, component, rows, determinant, invariants, check) -> dict:
+    doc = _presentation_doc(pres, component, rows, determinant)
     doc["invariants"] = {
         "tb_new": invariants.tb_new,
         "rot_new": invariants.rot_new,
@@ -350,13 +313,12 @@ def _bennequin_doc(check) -> dict:
 
 
 def _verdict_doc(verdict) -> dict:
+    check = verdict.bennequin
     return {
         "signs": verdict.signs_string,
         "tb_new": verdict.tb_new,
         "rot_new": verdict.rot_new,
-        "bennequin": None
-        if verdict.bennequin is None
-        else _bennequin_doc(verdict.bennequin),
+        "bennequin": None if check is None else _bennequin_doc(check),
         "status": verdict.status,
         "reason": verdict.reason,
     }
@@ -487,13 +449,11 @@ def _cmd_expand(args) -> tuple:
 def _cmd_convert(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _presentations(knot, coefficient, signs)
-    shared = _SharedDocs(shared_det=True)
-    # every matrix and det is built and checked before anything is printed
-    matrices = [shared.matrix(p) for p in presentations]
-    docs = (
-        _presentation_doc(p, shared, m.rows, m.det)
-        for p, m in zip(presentations, matrices)
-    )
+    matrix, rows = _shared_matrix(presentations[0])
+    determinant = det(matrix)
+    _check_printable((determinant,))
+    component = functools.cache(_component_fragment)
+    docs = (_presentation_doc(p, component, rows, determinant) for p in presentations)
     return _presentations_doc("convert", echo, docs, len(presentations))
 
 
@@ -506,21 +466,18 @@ def _cmd_analyze(args) -> tuple:
         "lk": ext.lk_with_original,
     }
     presentations = _presentations(knot, coefficient, signs)
-    shared = _SharedDocs(shared_det=False)
+    matrix, rows = _shared_matrix(presentations[0])
     # every solve runs before anything is printed, so exit 3 prints nothing
     results = []
     for pres in presentations:
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
-        matrix = shared.matrix(pres)
-        # Only the documents are shared here: each branch still gets its
-        # own dense inverse and det, which the benchmark's own test pins
-        # (one of each per branch of a traced analyze) until that test
-        # moves to the shared solve.
-        determinant = det(matrix.matrix)
+        # one dense invert and det per branch: the benchmark's own test pins them
+        determinant = det(matrix)
         _check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
-        results.append((pres, matrix.rows, determinant, invariants, check))
-    docs = (_analysis_doc(shared, *result) for result in results)
+        results.append((pres, determinant, invariants, check))
+    component = functools.cache(_component_fragment)
+    docs = (_analysis_doc(pres, component, rows, *rest) for pres, *rest in results)
     return _presentations_doc("analyze", echo, docs, len(results))
 
 
@@ -545,6 +502,8 @@ def _presentations_doc(command, echo, docs, total) -> tuple:
 
 
 def _cmd_classify(args) -> tuple:
+    if args.m > MAX_M_MAX:
+        raise InvalidInputError(f"--m must be at most {MAX_M_MAX} (got {args.m})")
     doc = {"schema_version": SCHEMA_VERSION, "command": "classify"}
     doc.update(_report_doc(classify(gate(args.m, args.n, args.rot))))
     return doc, _print_report_text
@@ -726,7 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
     cls = subparsers.add_parser(
         "classify", help="screen one candidate diagram (m, n)"
     )
-    cls.add_argument("--m", type=int, required=True, help="tb of the unknot is -m")
+    cls.add_argument(
+        "--m", type=int, required=True,
+        help=f"tb of the unknot is -m, 1 to {MAX_M_MAX}",
+    )
     cls.add_argument("--n", type=int, required=True, help="contact framing")
     cls.add_argument(
         "--rot", type=int, default=None,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import GateRejectionError, InvalidLegendrianError
@@ -93,21 +94,28 @@ class CandidateDiagram:
 class PresentationVerdict:
     """Verdict for one stabilization branch of a candidate's conversion.
 
-    ``status`` is derived: consistent with the standard tight 3-sphere
-    exactly when the Bennequin check was run and satisfied, otherwise
-    overtwisted-certified.  The contact 0-surgery shortcut records no
-    invariants and carries its justification in ``reason`` instead.
+    ``bennequin`` and ``status`` are derived: the Bennequin check of the
+    invariants, and consistent with the standard tight 3-sphere exactly
+    when that check is satisfied, otherwise overtwisted-certified.  The
+    contact 0-surgery shortcut records no invariants, so no check, and
+    carries its justification in ``reason`` instead.
     """
 
     sign_choice: tuple
     tb_new: Optional[int]
     rot_new: Optional[int]
-    bennequin: Optional[BennequinVerdict]
     reason: Optional[str] = None
+
+    @cached_property
+    def bennequin(self) -> Optional[BennequinVerdict]:
+        if self.tb_new is None:
+            return None
+        return bennequin(self.tb_new, self.rot_new)
 
     @property
     def status(self) -> str:
-        if self.bennequin is not None and self.bennequin.satisfied:
+        check = self.bennequin
+        if check is not None and check.satisfied:
             return CONSISTENT_WITH_STANDARD_TIGHT
         return OVERTWISTED_CERTIFIED
 
@@ -166,7 +174,6 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
                 sign_choice=(),
                 tb_new=None,
                 rot_new=None,
-                bennequin=None,
                 reason=ZERO_SURGERY_REASON,
             ),
         )
@@ -181,7 +188,6 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
                 sign_choice=pres.sign_choice,
                 tb_new=invariants.tb_new,
                 rot_new=invariants.rot_new,
-                bennequin=bennequin(invariants.tb_new, invariants.rot_new),
             )
         )
     return CandidateReport(diagram, tuple(verdicts))

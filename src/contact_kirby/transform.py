@@ -49,6 +49,7 @@ quadratic form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,8 +71,6 @@ class PostSurgeryInvariants:
 
     tb_new: int
     rot_new: int
-    # a solve that is not integral raises instead of returning
-    integral = True
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,15 @@ class BennequinVerdict:
 
 def _require_integral(value: Fraction, what: str) -> int:
     if value.denominator != 1:
+        try:
+            shown = f": {value}"
+        except ValueError:  # past sys.get_int_max_str_digits()
+            shown = (
+                f"; its exact value has more than {sys.get_int_max_str_digits()} "
+                "digits, Python's limit for writing integers"
+            )
         raise NonIntegralInvariantError(
-            f"post-surgery {what} is not an integer: {value}", value
+            f"post-surgery {what} is not an integer{shown}", value
         )
     return int(value)
 

@@ -544,6 +544,24 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert "1000" in err
 
+    def test_classify_m_above_the_bound_exit_2(self, capsys):
+        for m in (1001, 10 ** 4000):
+            code, out, err = run_cli(capsys, "classify", "--m", str(m), "--n", str(m + 1))
+            assert (code, out) == (2, "")
+            assert "at most 1000" in err
+
+    def test_classify_m_bound_is_inclusive(self, capsys, monkeypatch):
+        from contact_kirby import cli
+
+        monkeypatch.setattr(cli, "MAX_M_MAX", 5)
+        code, out, _ = run_cli(capsys, "classify", "--m", "5", "--n", "6")
+        assert code == 0
+        assert json.loads(out)["diagram"]["m"] == 5
+        for n in ("5", "7"):
+            code, out, err = run_cli(capsys, "classify", "--m", "6", "--n", n)
+            assert (code, out) == (2, "")
+            assert "at most 5" in err
+
 
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
@@ -609,11 +627,24 @@ class TestIntegerDigitLimit:
         for argv in (
             ("convert", "--tb", tb, "--rot", "0", "--coeff", "-3"),
             ("analyze", "--tb", tb, "--rot", "0", "--coeff", "-3", "--lk", "0"),
+            # the matrix is checked before the first solve, which is not integral
+            ("analyze", "--tb", tb, "--rot", "0", "--coeff", "-3", "--lk", "1"),
             ("expand", tb),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_non_integral_values_too_long_to_write(self, capsys):
+        # M = (-10^(n-1)) is printable, but tb_new = -1 + lk^2 / 10^(n-1)
+        # is not an integer and its exact value is too long to quote
+        tb, lk = -(self.longest() + 1), 9 * self.longest() + 1
+        code, out, err = run_cli(
+            capsys, "analyze", "--tb", str(tb), "--rot", "0", "--coeff", "1", "--lk", str(lk)
+        )
+        assert (code, out) == (3, "")
+        assert "is not an integer" in err
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
     def test_the_longest_writable_values_are_written(self, capsys):
         tb = -(10 * self.longest() - 1)

@@ -8,13 +8,14 @@ from contact_kirby.kirby import (
     CONSISTENT_WITH_STANDARD_TIGHT,
     OVERTWISTED_CERTIFIED,
     ZERO_SURGERY_REASON,
+    PresentationVerdict,
     classify,
     emit_table,
     gate,
 )
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import enumerate_presentations, linking_matrix
-from contact_kirby.transform import rot_after_surgery, tb_after_surgery
+from contact_kirby.transform import BennequinVerdict, rot_after_surgery, tb_after_surgery
 
 
 class TestGate:
@@ -120,6 +121,14 @@ class TestClassify:
             diagram = gate(m, n)
             for pres in enumerate_presentations(diagram.knot, diagram.n):
                 assert abs(det(linking_matrix(pres))) == 1
+
+    def test_a_verdict_derives_its_bennequin_check(self):
+        # tb + |rot| = 3: no stored check can call this branch tight
+        verdict = PresentationVerdict((1,), -2, 5)
+        assert verdict.bennequin == BennequinVerdict(False, -4)
+        assert verdict.status == OVERTWISTED_CERTIFIED
+        assert PresentationVerdict((-1,), -2, -1).status == CONSISTENT_WITH_STANDARD_TIGHT
+        assert PresentationVerdict((), None, None, ZERO_SURGERY_REASON).bennequin is None
 
     def test_every_computed_verdict_carries_bennequin(self):
         for report in emit_table(6):
