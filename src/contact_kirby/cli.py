@@ -29,8 +29,9 @@ a :class:`Fragment`, whose text is rendered once and then reused.  Each
 invocation builds the matrix once, wraps its rows in one fragment and,
 for ``convert``, takes its dense det once; component fragments come
 from a cache made in the command call, so nothing is kept between
-invocations.  ``analyze`` still runs one dense ``invert`` and one dense
-``det`` per branch, the solve the benchmark's own test pins.
+invocations.  ``analyze`` runs one dense ``invert`` and one dense ``det``
+per Legendrian class, the branches with the same rotation numbers, and
+renders each class's invariants as one fragment.
 
 Both refuse a coefficient that converts into more than MAX_COMPONENTS
 components, and, without ``--signs``, one with more than
@@ -52,7 +53,12 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
+from .errors import (
+    InvalidInputError,
+    NonIntegralInvariantError,
+    SingularMatrixError,
+    echo_int,
+)
 from .exact import det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
 from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
@@ -65,6 +71,7 @@ from .presentation import (
     evaluate_cf,
     expand_negative,
     linking_matrix,
+    rot_vector,
     stabilization_budget,
 )
 from .transform import bennequin, invariants_by_inverse
@@ -298,13 +305,9 @@ def _presentation_doc(pres: Presentation, component, rows, determinant) -> dict:
     }
 
 
-def _analysis_doc(pres, component, rows, determinant, invariants, check) -> dict:
+def _analysis_doc(pres, component, rows, determinant, invariants) -> dict:
     doc = _presentation_doc(pres, component, rows, determinant)
-    doc["invariants"] = {
-        "tb_new": invariants.tb_new,
-        "rot_new": invariants.rot_new,
-        "bennequin": _bennequin_doc(check),
-    }
+    doc["invariants"] = invariants
     return doc
 
 
@@ -467,18 +470,29 @@ def _cmd_analyze(args) -> tuple:
     }
     presentations = _presentations(knot, coefficient, signs)
     matrix, rows = _shared_matrix(presentations[0])
-    # every solve runs before anything is printed, so exit 3 prints nothing
-    results = []
+    # Branches share M and L and differ only in their rotation numbers, so
+    # the first branch of each Legendrian class solves for all of it.  Every
+    # solve runs before anything is printed, so exit 3 prints nothing.
+    classes = {}
     for pres in presentations:
+        key = rot_vector(pres)
+        if key in classes:
+            continue
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
-        # one dense invert and det per branch: the benchmark's own test pins them
+        # one dense invert and det per class: the benchmark's own test pins them
         determinant = det(matrix)
         _check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
-        results.append((pres, determinant, invariants, check))
+        classes[key] = determinant, Fragment({
+            "tb_new": invariants.tb_new,
+            "rot_new": invariants.rot_new,
+            "bennequin": _bennequin_doc(check),
+        })
     component = functools.cache(_component_fragment)
-    docs = (_analysis_doc(pres, component, rows, *rest) for pres, *rest in results)
-    return _presentations_doc("analyze", echo, docs, len(results))
+    docs = (
+        _analysis_doc(p, component, rows, *classes[rot_vector(p)]) for p in presentations
+    )
+    return _presentations_doc("analyze", echo, docs, len(presentations))
 
 
 def _presentations_doc(command, echo, docs, total) -> tuple:
@@ -503,7 +517,7 @@ def _presentations_doc(command, echo, docs, total) -> tuple:
 
 def _cmd_classify(args) -> tuple:
     if args.m > MAX_M_MAX:
-        raise InvalidInputError(f"--m must be at most {MAX_M_MAX} (got {args.m})")
+        raise InvalidInputError(f"--m must be at most {MAX_M_MAX} (got {echo_int(args.m)})")
     doc = {"schema_version": SCHEMA_VERSION, "command": "classify"}
     doc.update(_report_doc(classify(gate(args.m, args.n, args.rot))))
     return doc, _print_report_text
@@ -512,7 +526,7 @@ def _cmd_classify(args) -> tuple:
 def _cmd_table(args) -> tuple:
     if not 0 <= args.m_max <= MAX_M_MAX:
         raise InvalidInputError(
-            f"--m-max must be between 0 and {MAX_M_MAX} (got {args.m_max})"
+            f"--m-max must be between 0 and {MAX_M_MAX} (got {echo_int(args.m_max)})"
         )
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -555,7 +569,7 @@ def _print_presentation_text(idx, total, doc) -> None:
     for row in matrix:
         print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
     print(f"  determinant: {doc['determinant']}")
-    invariants = doc.get("invariants")
+    invariants = _unwrap(doc.get("invariants"))
     if invariants is not None:
         check = invariants["bennequin"]
         verdict = "satisfied" if check["satisfied"] else "violated"

@@ -4,6 +4,26 @@ Callers need two distinctions: bad input (the CLI maps these to exit
 code 2) and exact-arithmetic impossibilities (exit code 3).
 """
 
+# a message writes an integer of more than 20 digits as its digit count
+_ECHOED_BELOW = 10 ** 20
+
+
+def echo_int(value: int) -> str:
+    """``value`` as a message writes it: in full up to 20 digits.
+
+    A longer value is written as "a D-digit integer" (or "a negative
+    D-digit integer"), so an out-of-range input cannot make its message
+    thousands of characters long.
+    """
+    size = abs(value)
+    if size < _ECHOED_BELOW:
+        return str(value)
+    # 0.30102 < log10(2), so this starts at or below the digit count
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1
+    while 10 ** digits <= size:
+        digits += 1
+    return f"a {'negative ' if value < 0 else ''}{digits}-digit integer"
+
 
 class InvalidInputError(ValueError):
     """Malformed or out-of-domain input."""

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import GateRejectionError, InvalidLegendrianError
+from .errors import GateRejectionError, InvalidLegendrianError, echo_int
 from .legendrian import (
     ExternalKnot,
     LegendrianUnknot,
@@ -49,15 +49,15 @@ ZERO_SURGERY_REASON = "contact 0-surgery yields an overtwisted contact structure
 
 def _gate_check(m: int, n: int, rot: int) -> None:
     if m < 1:
-        raise GateRejectionError("m >= 1", f"tb = -m requires m >= 1 (got m={m})")
+        raise GateRejectionError("m >= 1", f"tb = -m requires m >= 1 (got m={echo_int(m)})")
     if n < 0:
         raise GateRejectionError(
-            "n >= 0", f"contact framing must be non-negative (got n={n})"
+            "n >= 0", f"contact framing must be non-negative (got n={echo_int(n)})"
         )
     if kirby_topological_condition(m, n) is None:
         raise GateRejectionError(
             "n = m +/- 1",
-            f"topological condition n = m +/- 1 fails (m={m}, n={n})",
+            f"topological condition n = m +/- 1 fails (m={echo_int(m)}, n={echo_int(n)})",
         )
     try:
         validate_unknot(-m, rot)

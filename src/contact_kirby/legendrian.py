@@ -21,7 +21,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .errors import InvalidInputError, InvalidLegendrianError, UnsupportedFramingError
+from .errors import (
+    InvalidInputError,
+    InvalidLegendrianError,
+    UnsupportedFramingError,
+    echo_int,
+)
 
 Coefficient = Union[int, Fraction]
 
@@ -34,16 +39,20 @@ def _check_invariants(tb: int, rot: int) -> None:
         )
     if tb > -1:
         raise InvalidLegendrianError(
-            f"tb must be at most -1 for a Legendrian unknot (got tb={tb})"
+            f"tb must be at most -1 for a Legendrian unknot (got tb={echo_int(tb)})"
         )
     if tb + abs(rot) > -1:
         raise InvalidLegendrianError(
-            f"Bennequin inequality tb + |rot| <= -1 fails (tb={tb}, rot={rot})"
+            f"Bennequin inequality tb + |rot| <= -1 fails ({_shown(tb, rot)})"
         )
     if (rot - tb - 1) % 2 != 0:
         raise InvalidLegendrianError(
-            f"parity rot = tb + 1 (mod 2) fails (tb={tb}, rot={rot})"
+            f"parity rot = tb + 1 (mod 2) fails ({_shown(tb, rot)})"
         )
+
+
+def _shown(tb: int, rot: int) -> str:
+    return f"tb={echo_int(tb)}, rot={echo_int(rot)}"
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,7 @@ def kirby_topological_condition(m: int, n: int) -> Optional[int]:
     those two framings make the surgery a topological Kirby move of type 1.
     """
     if m < 1:
-        raise InvalidInputError(f"m must be at least 1 (got {m})")
+        raise InvalidInputError(f"m must be at least 1 (got {echo_int(m)})")
     if n == m + 1:
         return 1
     if n == m - 1:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +14,20 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from contact_kirby.cli import canonical_json, main, parse_rational, parse_signs
-from contact_kirby.errors import InvalidInputError
+from contact_kirby.errors import (
+    InvalidInputError,
+    NonIntegralInvariantError,
+    SingularMatrixError,
+)
+from contact_kirby.exact import det
+from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
+from contact_kirby.presentation import (
+    enumerate_presentations,
+    linking_matrix,
+    rot_vector,
+    stabilization_budget,
+)
+from contact_kirby.transform import invariants_after_surgery, invariants_by_inverse
 
 
 def run_cli(capsys, *argv):
@@ -561,6 +576,159 @@ class TestBounds:
             code, out, err = run_cli(capsys, "classify", "--m", "6", "--n", n)
             assert (code, out) == (2, "")
             assert "at most 5" in err
+
+
+class TestLongEchoes:
+    """A message writes an integer of more than 20 digits as its digit count."""
+
+    HUGE = 10 ** 4000
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("classify", "--m", str(HUGE), "--n", str(HUGE + 1)),
+                "--m must be at most 1000 (got a 4001-digit integer)",
+            ),
+            (
+                ("table", "--m-max", str(HUGE)),
+                "--m-max must be between 0 and 1000 (got a 4001-digit integer)",
+            ),
+            (
+                ("table", "--m-max", str(-HUGE)),
+                "--m-max must be between 0 and 1000 (got a negative 4001-digit integer)",
+            ),
+            (
+                ("classify", "--m", str(-HUGE), "--n", "0"),
+                "tb = -m requires m >= 1 (got m=a negative 4001-digit integer)",
+            ),
+            (
+                ("classify", "--m", "2", "--n", str(-HUGE)),
+                "contact framing must be non-negative (got n=a negative 4001-digit integer)",
+            ),
+            (
+                ("classify", "--m", "2", "--n", str(HUGE)),
+                "topological condition n = m +/- 1 fails (m=2, n=a 4001-digit integer)",
+            ),
+            (
+                ("convert", "--tb", str(HUGE), "--rot", "0", "--coeff", "1"),
+                "tb must be at most -1 for a Legendrian unknot (got tb=a 4001-digit integer)",
+            ),
+            (
+                ("convert", "--tb", "-2", "--rot", str(HUGE), "--coeff", "1"),
+                "Bennequin inequality tb + |rot| <= -1 fails (tb=-2, rot=a 4001-digit integer)",
+            ),
+            (
+                ("convert", "--tb", str(-HUGE), "--rot", "0", "--coeff", "1"),
+                "parity rot = tb + 1 (mod 2) fails (tb=a negative 4001-digit integer, rot=0)",
+            ),
+        ],
+    )
+    def test_a_long_value_is_written_as_its_digit_count(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("classify", "--m", "1001", "--n", "1002"), "--m must be at most 1000 (got 1001)"),
+            (("table", "--m-max", "1001"), "--m-max must be between 0 and 1000 (got 1001)"),
+            (("table", "--m-max", "-1"), "--m-max must be between 0 and 1000 (got -1)"),
+            (("classify", "--m", "0", "--n", "1"), "tb = -m requires m >= 1 (got m=0)"),
+            (("classify", "--m", "-3", "--n", "0"), "tb = -m requires m >= 1 (got m=-3)"),
+            (
+                ("classify", "--m", "2", "--n", str(10 ** 20 - 1)),
+                f"topological condition n = m +/- 1 fails (m=2, n={10 ** 20 - 1})",
+            ),
+            (
+                ("classify", "--m", "2", "--n", str(10 ** 20)),
+                "topological condition n = m +/- 1 fails (m=2, n=a 21-digit integer)",
+            ),
+        ],
+    )
+    def test_values_up_to_20_digits_are_written_in_full(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_digit_count_past_the_int_to_str_limit(self):
+        from contact_kirby.errors import echo_int
+
+        for digits in (21, 4300, 4301, 30103):
+            assert echo_int(10 ** (digits - 1)) == f"a {digits}-digit integer"
+            assert echo_int(1 - 10 ** digits) == f"a negative {digits}-digit integer"
+
+
+class TestOneSolvePerClass:
+    """``analyze`` solves once per Legendrian class and prints every branch.
+
+    Branches with the same rotation numbers share every input of the
+    dense solve, so each branch's printed invariants must still be its
+    own, and an exit 3 must name the first branch that fails.
+    """
+
+    @staticmethod
+    def surgeries(rng, count):
+        """Surgeries with tb -1..-5, |p| <= 30, q <= 8 and budget <= 9."""
+        while count:
+            r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 8))
+            if stabilization_budget(r) > 9:
+                continue
+            tb = -rng.randint(1, 5)
+            knot = LegendrianUnknot(tb, tb + 1 + 2 * rng.randint(0, -tb - 1))
+            count -= 1
+            yield knot, r
+
+    def test_every_branch_prints_its_own_invariants(self, capsys):
+        rng = random.Random(9728)
+        codes = []
+        for knot, r in self.surgeries(rng, 60):
+            multiple = abs(r.numerator + r.denominator * knot.tb)
+            for lk in (multiple * rng.randint(-2, 2), rng.randint(-6, 6)):
+                ext = ExternalKnot(LegendrianUnknot(-1, 0), lk)
+                code, out, err = run_cli(
+                    capsys, "analyze", "--tb", str(knot.tb), "--rot", str(knot.rot),
+                    "--coeff", str(r), "--lk", str(lk),
+                )
+                branches = enumerate_presentations(knot, r)
+                failures = []
+                for pres in branches:
+                    try:
+                        invariants_by_inverse(pres, ext)
+                    except (SingularMatrixError, NonIntegralInvariantError) as exc:
+                        failures.append(exc)
+                codes.append(code)
+                if failures:
+                    assert (code, out, err) == (3, "", f"error: {failures[0]}\n")
+                    continue
+                assert (code, err) == (0, "")
+                docs = json.loads(out)["presentations"]
+                assert len(docs) == len(branches)
+                for pres, doc in zip(branches, docs):
+                    expected = invariants_after_surgery(pres, ext)
+                    assert doc["signs"] == pres.signs_string
+                    assert doc["invariants"]["tb_new"] == expected.tb_new
+                    assert doc["invariants"]["rot_new"] == expected.rot_new
+                    assert doc["determinant"] == det(linking_matrix(pres))
+        assert codes.count(0) > 20 and codes.count(3) > 20
+
+    def test_one_dense_solve_per_class(self, capsys, monkeypatch):
+        from contact_kirby import cli
+
+        calls = []
+
+        def counted(pres, ext):
+            calls.append(pres)
+            return invariants_by_inverse(pres, ext)
+
+        monkeypatch.setattr(cli, "invariants_by_inverse", counted)
+        code, out, err = run_cli(
+            capsys, "analyze", "--tb", "-1", "--rot", "0", "--coeff", "-14", "--lk", "15"
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["presentations"]) == 2 ** 13
+        # one chain component with 13 stabilizations: 14 classes
+        assert len(calls) == 14
+        assert len({rot_vector(pres) for pres in calls}) == 14
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,10 @@
-"""The CLI's exit-code and output contract, over generated argv for every command."""
+"""The CLI's exit-code and output contract, over generated argv and ``--input`` documents."""
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import pytest
@@ -99,3 +101,81 @@ def test_exit_codes_and_documents(argv):
             jsonschema.validate(json.loads(out), SCHEMA)
         codes.add(code)
     assert len(codes) == 1, codes
+
+
+class Digits:
+    """An integer literal of ``digits`` digits, written into the JSON text as it is."""
+
+    def __init__(self, negative, digits):
+        self.text = ("-" if negative else "") + "1" + "0" * (digits - 1)
+
+
+def to_json(value) -> str:
+    """JSON text of ``value``, with each ``Digits`` written as its literal."""
+    if isinstance(value, Digits):
+        return value.text
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(to_json, value)) + "]"
+    return json.dumps(value)
+
+
+# around the 4300-digit int-to-str limit, on both sides of it
+huge = st.builds(Digits, st.booleans(), st.integers(4290, 4310))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=6), st.integers(), huge
+)
+junk = st.recursive(
+    scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+FIELDS = (
+    ("knot",), ("knot", "type"), ("knot", "tb"), ("knot", "rot"), ("coefficient",), ("signs",)
+)
+
+
+@st.composite
+def documents(draw):
+    """A diagram document, mostly valid, with up to two fields dropped or junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(junk)
+    tb = draw(st.integers(-6, -1))
+    bound = -1 - tb
+    knot = {"type": "unknot", "tb": tb, "rot": 2 * draw(st.integers(0, bound)) - bound}
+    signs = draw(st.none() | st.text("+-", max_size=4))
+    document = {"knot": knot, "coefficient": draw(rationals()), "signs": signs}
+    for path in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
+        parent = document if len(path) == 1 else document.get("knot")
+        if not isinstance(parent, dict):
+            continue
+        if draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(junk)
+    return document
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents(), st.integers(-3, 3))
+def test_input_documents(document, lk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "diagram.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(to_json(document))
+        for command in (["convert"], ["analyze", "--lk", str(lk)]):
+            codes = set()
+            for fmt in ("json", "table"):
+                code, out, err = run(command + ["--input", path, "--format", fmt])
+                assert code in (0, 2, 3)
+                assert "Traceback" not in err
+                if code:
+                    assert out == ""
+                    assert err.startswith("error: ")
+                elif fmt == "json":
+                    jsonschema.validate(json.loads(out), SCHEMA)
+                codes.add(code)
+            assert len(codes) == 1, codes
