@@ -16,22 +16,18 @@ document.
 ``json.dumps(doc, indent=2, sort_keys=True)``, whose indenting encoder
 is pure Python.  It collects whole lines in one list and writes a row of
 plain ints with one ``join``.  ``convert`` and ``analyze`` stream their
-presentations: each document is built and written to stdout as one
-string when its turn comes, so only one presentation's text is held in
-memory at a time.
-``analyze`` runs every solve first, so an exit 3 prints nothing.
+presentations to stdout, one string each.
 
-The branches of one surgery differ only in their stabilization signs,
-so they share most of their documents.  A chain component's tb does not
-depend on the signs, so every branch has the same linking matrix, and
-the component documents repeat across branches.  Such a shared part is
-a :class:`Fragment`, whose text is rendered once and then reused.  Each
-invocation builds the matrix once, wraps its rows in one fragment and,
-for ``convert``, takes its dense det once; component fragments come
-from a cache made in the command call, so nothing is kept between
-invocations.  ``analyze`` runs one dense ``invert`` and one dense ``det``
-per Legendrian class, the branches with the same rotation numbers, and
-renders each class's invariants as one fragment.
+The branches of one surgery share their linking matrix, since a chain
+component's tb does not depend on the signs: each invocation builds it
+once, and ``convert`` takes its dense det once.  The branches of one
+Legendrian class also share their components, and so every key of their
+documents but ``"signs"``.  Each class's document is one
+:class:`Fragment`, whose text is rendered once and then reused, and a
+:class:`Branch` writes it with its own signs spliced in.  ``analyze``
+runs one dense ``invert`` and one dense ``det`` per class, all before
+the first byte, so an exit 3 prints nothing.  Nothing is kept between
+invocations.
 
 Both refuse a coefficient that converts into more than MAX_COMPONENTS
 components, and, without ``--signs``, one with more than
@@ -44,7 +40,6 @@ before anything is printed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -71,7 +66,6 @@ from .presentation import (
     evaluate_cf,
     expand_negative,
     linking_matrix,
-    rot_vector,
     stabilization_budget,
 )
 from .transform import bennequin, invariants_by_inverse
@@ -174,6 +168,20 @@ class Fragment:
         return text
 
 
+class Branch:
+    """A presentation document: its Legendrian class's fragment, and its signs.
+
+    The class's document holds ``"signs": ""``, which sorts last, so its
+    text ends in ``""`` and the closing brace; a branch puts its signs there.
+    """
+
+    __slots__ = ("shared", "signs")
+
+    def __init__(self, shared: Fragment, signs: str):
+        self.shared = shared
+        self.signs = signs
+
+
 def _scalar(value) -> str:
     text = _SCALARS.get(type(value))
     if text is None:
@@ -189,6 +197,9 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
     """
     if type(value) is Fragment:
         lines.append(head + value.text(indent) + tail)
+    elif type(value) is Branch:
+        before, _, after = value.shared.text(indent).rpartition('""')
+        lines.append(head + before + _quote(value.signs) + after + tail)
     elif isinstance(value, dict):
         if not value:
             lines.append(head + "{}" + tail)
@@ -249,8 +260,8 @@ def _knot_doc(knot: LegendrianUnknot) -> dict:
     return {"type": "unknot", "tb": knot.tb, "rot": knot.rot}
 
 
-def _component_fragment(comp: Component) -> Fragment:
-    return Fragment({
+def _component_doc(comp: Component) -> dict:
+    return {
         "index": comp.index,
         "tb": comp.knot.tb,
         "rot": comp.knot.rot,
@@ -258,7 +269,7 @@ def _component_fragment(comp: Component) -> Fragment:
         "topological_coeff": comp.topological_coefficient,
         "parent": comp.parent,
         "stabilizations": {"plus": comp.stabs_pos, "minus": comp.stabs_neg},
-    })
+    }
 
 
 def _check_printable(values) -> None:
@@ -294,21 +305,6 @@ def _shared_matrix(pres: Presentation) -> tuple:
         [c.knot.tb for c in pres.components] + [x for row in matrix.entries for x in row]
     )
     return matrix, Fragment([list(row) for row in matrix.entries])
-
-
-def _presentation_doc(pres: Presentation, component, rows, determinant) -> dict:
-    return {
-        "signs": pres.signs_string,
-        "components": [component(c) for c in pres.components],
-        "linking_matrix": rows,
-        "determinant": determinant,
-    }
-
-
-def _analysis_doc(pres, component, rows, determinant, invariants) -> dict:
-    doc = _presentation_doc(pres, component, rows, determinant)
-    doc["invariants"] = invariants
-    return doc
 
 
 def _bennequin_doc(check) -> dict:
@@ -455,9 +451,10 @@ def _cmd_convert(args) -> tuple:
     matrix, rows = _shared_matrix(presentations[0])
     determinant = det(matrix)
     _check_printable((determinant,))
-    component = functools.cache(_component_fragment)
-    docs = (_presentation_doc(p, component, rows, determinant) for p in presentations)
-    return _presentations_doc("convert", echo, docs, len(presentations))
+    return _presentations_doc(
+        "convert", echo, presentations,
+        lambda pres: {"linking_matrix": rows, "determinant": determinant},
+    )
 
 
 def _cmd_analyze(args) -> tuple:
@@ -470,47 +467,55 @@ def _cmd_analyze(args) -> tuple:
     }
     presentations = _presentations(knot, coefficient, signs)
     matrix, rows = _shared_matrix(presentations[0])
+
     # Branches share M and L and differ only in their rotation numbers, so
-    # the first branch of each Legendrian class solves for all of it.  Every
-    # solve runs before anything is printed, so exit 3 prints nothing.
-    classes = {}
-    for pres in presentations:
-        key = rot_vector(pres)
-        if key in classes:
-            continue
+    # the first branch of each Legendrian class solves for all of it.
+    def class_doc(pres) -> dict:
         invariants = invariants_by_inverse(pres, ext)
         check = bennequin(invariants.tb_new, invariants.rot_new)
         # one dense invert and det per class: the benchmark's own test pins them
         determinant = det(matrix)
         _check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
-        classes[key] = determinant, Fragment({
-            "tb_new": invariants.tb_new,
-            "rot_new": invariants.rot_new,
-            "bennequin": _bennequin_doc(check),
-        })
-    component = functools.cache(_component_fragment)
-    docs = (
-        _analysis_doc(p, component, rows, *classes[rot_vector(p)]) for p in presentations
-    )
-    return _presentations_doc("analyze", echo, docs, len(presentations))
+        return {
+            "linking_matrix": rows,
+            "determinant": determinant,
+            "invariants": {
+                "tb_new": invariants.tb_new,
+                "rot_new": invariants.rot_new,
+                "bennequin": _bennequin_doc(check),
+            },
+        }
+
+    return _presentations_doc("analyze", echo, presentations, class_doc)
 
 
-def _presentations_doc(command, echo, docs, total) -> tuple:
-    """The convert/analyze document, its presentations streamed from ``docs``.
+def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
+    """The convert/analyze document and its text printer.
 
-    Returns the document and its text printer, which numbers each
-    presentation out of ``total``.
+    The branches of one Legendrian class share one components tuple, and
+    ``class_doc(pres)`` builds the rest of the class's document, but for
+    its signs, from the class's first branch.  Every class is built here,
+    so one that raises prints nothing; the presentations are streamed.
     """
+    classes = {}
+    for pres in presentations:
+        if id(pres.components) not in classes:
+            doc = class_doc(pres)
+            doc["components"] = [_component_doc(c) for c in pres.components]
+            doc["signs"] = ""
+            classes[id(pres.components)] = Fragment(doc)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": echo,
-        "presentations": docs,
+        "presentations": (
+            Branch(classes[id(p.components)], p.signs_string) for p in presentations
+        ),
     }
 
     def print_text(document) -> None:
-        for idx, pres_doc in enumerate(document["presentations"]):
-            _print_presentation_text(idx, total, pres_doc)
+        for idx, branch in enumerate(document["presentations"]):
+            _print_presentation_text(idx, len(presentations), _unwrap(branch))
 
     return doc, print_text
 
@@ -542,7 +547,9 @@ def _cmd_table(args) -> tuple:
 
 
 def _unwrap(value):
-    """The document a fragment stands for; any other value as it is."""
+    """The document a fragment or branch stands for; any other value as it is."""
+    if type(value) is Branch:
+        return dict(value.shared.value, signs=value.signs)
     return value.value if type(value) is Fragment else value
 
 
@@ -554,7 +561,7 @@ def _print_expansion_text(doc) -> None:
 def _print_presentation_text(idx, total, doc) -> None:
     """Print one presentation document, with its invariants if it has them."""
     print(f"presentation {idx + 1} of {total} (signs: {doc['signs'] or '(none)'})")
-    for comp in map(_unwrap, doc["components"]):
+    for comp in doc["components"]:
         parent = "-" if comp["parent"] is None else str(comp["parent"])
         stabs = comp["stabilizations"]
         print(
@@ -569,7 +576,7 @@ def _print_presentation_text(idx, total, doc) -> None:
     for row in matrix:
         print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
     print(f"  determinant: {doc['determinant']}")
-    invariants = _unwrap(doc.get("invariants"))
+    invariants = doc.get("invariants")
     if invariants is not None:
         check = invariants["bennequin"]
         verdict = "satisfied" if check["satisfied"] else "violated"

@@ -20,6 +20,9 @@ its knot, its coefficient and its signs: ``Presentation(k, r, s) ==
 convert(k, r, s)``, and its components are derived from those three on
 construction.  A Legendrian unknot is fixed by (tb, rot), so each chain
 component is built in one step from how many of its signs are positive.
+Those counts, one per chain entry, fix the branch's Legendrian class,
+so only prod(k_i + 1) of the 2^s branches are distinct links, k_i the
+stabilizations of entry i; the branches of one class share one tuple.
 Every component is a push-off of the one before it, so its ``parent`` is
 derived from its index, never stored.  Linking numbers inside the
 resulting link follow the parallel-copy rule: a push-off taken along the
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from operator import countOf
 from typing import Optional, Sequence, Union
 
 from . import legendrian
@@ -41,6 +45,10 @@ from .exact import IntMatrix
 from .legendrian import ExternalKnot, LegendrianUnknot
 
 Coefficient = Union[int, Fraction]
+
+_INT_ONLY = frozenset((int,))
+_SIGNS = frozenset((1, -1))
+_SIGN_TEXT = {1: "+", -1: "-"}
 
 
 @dataclass(frozen=True)
@@ -102,51 +110,67 @@ class Presentation:
 
     A presentation is its knot, its coefficient and its stabilization
     signs; ``components`` is derived from them once, on construction, so
-    equality and hashing read only those three.
+    equality and hashing read only those three.  ``classes``, a dict made
+    for one surgery and handed to each of its branches, gives every branch
+    of one Legendrian class the components tuple the first one built.
     """
 
     source_knot: LegendrianUnknot
     source_coefficient: Fraction
     sign_choice: tuple
+    classes: InitVar[Optional[dict]] = None
     components: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        knot = self.source_knot
+    def __post_init__(self, classes):
         coefficient = _as_fraction(self.source_coefficient)
         sign_choice = tuple(self.sign_choice)
-        if any(type(s) is not int or s not in (1, -1) for s in sign_choice):
+        # exact types first: True and 1.0 equal 1 but are not signs
+        if not (_INT_ONLY.issuperset(map(type, sign_choice)) and _SIGNS.issuperset(sign_choice)):
             raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
-        plus_count, expansion = _conversion_plan(coefficient)
-        needed = expansion.total_stabilizations if expansion is not None else 0
-        if len(sign_choice) != needed:
+        plus, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
+        if len(sign_choice) != bounds[-1]:
             raise InvalidInputError(
                 f"sign vector has length {len(sign_choice)} but this conversion "
-                f"stabilizes {needed} times"
+                f"stabilizes {bounds[-1]} times"
             )
-
-        # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
-        components = [Component(i, knot, 1) for i in range(plus_count)]
-        if expansion is not None:
-            current = knot
-            start = 0
-            for count in expansion.stabilization_counts:
-                pos = sign_choice[start:start + count].count(1)
-                neg = count - pos
-                start += count
-                current = LegendrianUnknot(current.tb - count, current.rot + pos - neg)
-                components.append(Component(len(components), current, -1, pos, neg))
+        # the class: how many signs of each chain entry are positive
+        chunks = map(slice, bounds, bounds[1:])
+        key = tuple(map(countOf, map(sign_choice.__getitem__, chunks), itertools.repeat(1)))
+        classes = {} if classes is None else classes
+        components = classes.get(key)
+        if components is None:
+            components = classes[key] = _components(self.source_knot, plus, counts, key, classes)
         object.__setattr__(self, "source_coefficient", coefficient)
         object.__setattr__(self, "sign_choice", sign_choice)
-        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "components", components)
 
     @property
     def signs_string(self) -> str:
         return signs_string(self.sign_choice)
 
 
+def _components(knot, plus, counts, positives, classes) -> tuple:
+    """The components of one class, each distinct chain knot built once.
+
+    ``classes`` keeps the knots under (tb, rot), which no class key
+    equals: a tb is negative, a positive count is not.
+    """
+    # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
+    components = [Component(i, knot, 1) for i in range(plus)]
+    tb, rot = knot.tb, knot.rot
+    for count, pos in zip(counts, positives):
+        tb -= count
+        rot += 2 * pos - count
+        chain_knot = classes.get((tb, rot))
+        if chain_knot is None:
+            chain_knot = classes[tb, rot] = LegendrianUnknot(tb, rot)
+        components.append(Component(len(components), chain_knot, -1, pos, count - pos))
+    return tuple(components)
+
+
 def signs_string(sign_choice: Sequence[int]) -> str:
     """Stabilization signs as text: ``+`` for +1, ``-`` for -1."""
-    return "".join("+" if s > 0 else "-" for s in sign_choice)
+    return "".join(map(_SIGN_TEXT.__getitem__, sign_choice))
 
 
 def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
@@ -195,6 +219,8 @@ def _floor_expansion(x: Fraction):
 
 
 def _as_fraction(coefficient: Coefficient) -> Fraction:
+    if type(coefficient) is Fraction:
+        return coefficient
     try:
         return Fraction(coefficient)
     except (TypeError, ValueError) as exc:
@@ -224,16 +250,19 @@ def _peel_plus(coefficient: Fraction) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _conversion_plan(coefficient: Fraction):
-    """Number of contact (+1) components, and the chain expansion if any.
+def _conversion_plan(numerator: int, denominator: int):
+    """The (+1) count, the chain's stabilization counts, and the bounds of their signs.
 
-    Cached because every branch of one surgery converts the same
-    coefficient; the result, an int and a frozen expansion, is immutable.
+    The bounds are 0 and the running sums of the counts, so the last is
+    the stabilization budget.  Cached, and keyed by two ints, which hash
+    faster than a ``Fraction``, because every branch of one surgery
+    converts the same coefficient.
     """
-    plus, residual = _peel_plus(coefficient)
+    plus, residual = _peel_plus(Fraction(numerator, denominator))
     if residual is None:
-        return plus, None
-    return plus, expand_negative(residual)
+        return plus, (), (0,)
+    counts = expand_negative(residual).stabilization_counts
+    return plus, counts, tuple(itertools.accumulate(counts, initial=0))
 
 
 def component_count(coefficient: Coefficient, at_most: int) -> int:
@@ -254,21 +283,23 @@ def component_count(coefficient: Coefficient, at_most: int) -> int:
 
 def stabilization_budget(coefficient: Coefficient) -> int:
     """Total stabilizations any conversion of this coefficient must choose signs for."""
-    _, expansion = _conversion_plan(_as_fraction(coefficient))
-    return expansion.total_stabilizations if expansion is not None else 0
+    coefficient = _as_fraction(coefficient)
+    return _conversion_plan(coefficient.numerator, coefficient.denominator)[2][-1]
 
 
 def convert(
     knot: LegendrianUnknot,
     coefficient: Coefficient,
     signs: Sequence[int] = (),
+    classes: Optional[dict] = None,
 ) -> Presentation:
     """Convert contact r-surgery on ``knot`` into one (+/-1)-presentation.
 
     ``signs`` fixes the stabilization choices, consumed chain-first and
     left to right; its length must equal :func:`stabilization_budget`.
+    ``classes`` is shared by the branches of one surgery only.
     """
-    return Presentation(knot, coefficient, signs)
+    return Presentation(knot, coefficient, signs, classes)
 
 
 def enumerate_presentations(
@@ -277,12 +308,14 @@ def enumerate_presentations(
     """All presentations of one surgery, in plus-first lexicographic sign order.
 
     The first entry is the all-plus branch; a coefficient with s
-    stabilizations yields exactly 2^s presentations.
+    stabilizations yields exactly 2^s presentations.  Their class table
+    lives only as long as this call.
     """
     coefficient = _as_fraction(coefficient)
     total = stabilization_budget(coefficient)
+    classes = {}
     return [
-        convert(knot, coefficient, choice)
+        convert(knot, coefficient, choice, classes)
         for choice in itertools.product((1, -1), repeat=total)
     ]
 

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_kirby.cli import Fragment, canonical_json
+from contact_kirby.cli import Branch, Fragment, canonical_json
 
 
 def reference(document) -> str:
@@ -129,6 +129,20 @@ def test_a_fragment_renders_once_per_indent(monkeypatch):
     fragment = Fragment(value)
     canonical_json([fragment, {"a": fragment}, fragment, [fragment]])
     assert [indent for v, indent in rendered if v is value] == ["  ", "    "]
+
+
+# every key of a class document sorts before "signs"
+class_documents = st.dictionaries(strings.filter(lambda key: key < "signs"), with_fragments)
+
+
+@given(st.lists(st.tuples(class_documents, st.text("+-")), max_size=3), with_fragments)
+def test_a_branch_is_its_class_document_with_its_signs(branches, rest):
+    chunks = []
+    items = [Branch(Fragment(dict(doc, signs="")), signs) for doc, signs in branches]
+    document = {"items": iter(items), "rest": rest}
+    assert canonical_json(document, chunks.append) == ""
+    expected = [dict(unwrap(doc), signs=signs) for doc, signs in branches]
+    assert "".join(chunks) == reference({"items": expected, "rest": unwrap(rest)})
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from contact_kirby.errors import (
 from contact_kirby.exact import det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
+    convert,
     enumerate_presentations,
     linking_matrix,
     rot_vector,
@@ -478,6 +479,104 @@ class TestStreamedOutput:
             assert code == 3
             assert out == ""
             assert err
+
+
+def rebuilt_presentation(pres, ext=None) -> dict:
+    """A presentation document built from the library alone, one key at a time."""
+    matrix = linking_matrix(pres)
+    doc = {
+        "signs": pres.signs_string,
+        "components": [
+            {
+                "index": c.index,
+                "tb": c.knot.tb,
+                "rot": c.knot.rot,
+                "contact_coeff": c.contact_sign,
+                "topological_coeff": c.knot.tb + c.contact_sign,
+                "parent": c.parent,
+                "stabilizations": {"plus": c.stabs_pos, "minus": c.stabs_neg},
+            }
+            for c in pres.components
+        ],
+        "linking_matrix": [list(row) for row in matrix.entries],
+        "determinant": det(matrix),
+    }
+    if ext is not None:
+        invariants = invariants_after_surgery(pres, ext)
+        slack = -1 - invariants.tb_new - abs(invariants.rot_new)
+        doc["invariants"] = {
+            "tb_new": invariants.tb_new,
+            "rot_new": invariants.rot_new,
+            "bennequin": {"satisfied": slack >= 0, "slack": slack},
+        }
+    return doc
+
+
+class TestBranchSplice:
+    """Each branch is its class's text with its own signs spliced in.
+
+    The splice must write exactly what the generic writer writes for the
+    presentation document rebuilt from ``convert(k, r, signs)``.
+    """
+
+    CASES = [
+        (("convert", "--tb", "-2", "--rot", "1", "--coeff", "1"), None),
+        (("convert", "--tb", "-3", "--rot", "0", "--coeff", "-1"), None),
+        (("analyze", "--tb", "-3", "--rot", "2", "--coeff", "-1", "--lk", "4"), 4),
+        (("analyze", "--tb", "-2", "--rot", "-1", "--coeff", "1", "--lk", "2"), 2),
+        (("convert", "--tb", "-1", "--rot", "0", "--coeff", "-7/3", "--signs=+-"), None),
+        (("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-7/3", "--signs=-+",
+          "--lk", "10"), 10),
+        (("convert", "--tb", "-2", "--rot", "-1", "--coeff", "-13/5"), None),
+        (("convert", "--tb", "-1", "--rot", "0", "--coeff", "11/4"), None),
+        (("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--lk", "13"), 13),
+        (("analyze", "--tb", "-4", "--rot", "-1", "--coeff", "9/5", "--lk", "-11"), -11),
+    ]
+
+    @staticmethod
+    def expected(argv, lk):
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        knot = LegendrianUnknot(int(flags["--tb"]), int(flags["--rot"]))
+        r = parse_rational(flags["--coeff"])
+        signs = next((a[len("--signs="):] for a in argv if a.startswith("--signs=")), None)
+        if signs is None:
+            branches = enumerate_presentations(knot, r)
+        else:
+            branches = [convert(knot, r, parse_signs(signs))]
+        ext = None if lk is None else ExternalKnot(LegendrianUnknot(-1, 0), lk)
+        return [rebuilt_presentation(pres, ext) for pres in branches]
+
+    @pytest.mark.parametrize("argv, lk", CASES)
+    def test_json_equals_the_generic_writer(self, capsys, argv, lk):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        expected = self.expected(argv, lk)
+        assert document["presentations"] == expected
+        rebuilt = dict(document, presentations=expected)
+        assert out == canonical_json(rebuilt) + "\n"
+        if all(not p["signs"] for p in expected):
+            assert '"signs": ""' in out
+
+    @pytest.mark.parametrize("argv, lk", CASES)
+    def test_text_equals_the_text_of_the_rebuilt_documents(self, capsys, argv, lk):
+        from contact_kirby import cli
+
+        code, out, err = run_cli(capsys, *argv, "--format", "table")
+        assert (code, err) == (0, "")
+        expected = self.expected(argv, lk)
+        for idx, doc in enumerate(expected):
+            cli._print_presentation_text(idx, len(expected), doc)
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_exit_3_prints_nothing(self, capsys, fmt):
+        # 2^13 branches over 14 classes; lk 1 is not a multiple of |det| = 15
+        argv = ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-14", "--lk", "1")
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
 
 
 class TestBounds:

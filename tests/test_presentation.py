@@ -15,6 +15,7 @@ from contact_kirby.exact import IntMatrix, det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
     CFExpansion,
+    Component,
     Presentation,
     component_count,
     convert,
@@ -479,3 +480,59 @@ class TestBranchesShareTheLinkingMatrix:
                 own = linking_matrix(pres)
                 assert own == shared
                 assert det(own) == shared_det
+
+
+def rebuilt_components(knot, r, signs):
+    """The components of ``convert(knot, r, signs)``, one chain entry at a time.
+
+    Written from the conversion rule: (+1) components on unstabilized
+    push-offs, then each chain entry takes its chunk of the signs.
+    """
+    plus, residual = 0, r
+    while residual > 0 and residual != 1:
+        plus, residual = plus + 1, residual / (1 - residual)
+    if residual == 1:
+        return tuple(Component(i, knot, 1) for i in range(plus + 1))
+    comps = [Component(i, knot, 1) for i in range(plus)]
+    counts = expand_negative(residual).stabilization_counts
+    tb, rot, start = knot.tb, knot.rot, 0
+    for count in counts:
+        chunk = signs[start:start + count]
+        start += count
+        pos, neg = chunk.count(1), chunk.count(-1)
+        tb, rot = tb - count, rot + pos - neg
+        comps.append(Component(len(comps), LegendrianUnknot(tb, rot), -1, pos, neg))
+    return tuple(comps)
+
+
+class TestClassesShareComponents:
+    """The branches of one Legendrian class share one components tuple."""
+
+    def test_fourteen_classes_of_minus_fourteen(self):
+        branches = enumerate_presentations(LegendrianUnknot(-1, 0), -14)
+        assert len(branches) == 8192
+        # one chain component with 13 stabilizations: 14 positive counts
+        assert len({id(p.components) for p in branches}) == 14
+
+    def test_every_branch_equals_a_fresh_rebuild(self):
+        rng = random.Random(1461)
+        for _ in range(120):
+            knot, r = random_small_surgery(rng)
+            branches = enumerate_presentations(knot, r)
+            by_class = {}
+            for pres in branches:
+                assert pres.components == rebuilt_components(knot, r, pres.sign_choice)
+                assert pres.components == convert(knot, r, pres.sign_choice).components
+                by_class.setdefault(rot_vector(pres), set()).add(id(pres.components))
+            # one tuple per class, and one knot object per distinct chain knot
+            assert all(len(ids) == 1 for ids in by_class.values())
+            knots = {id(c.knot): c.knot for p in branches for c in p.components}
+            assert len(knots) == len(set(knots.values()))
+
+    def test_a_table_does_not_change_the_presentation(self):
+        classes = {}
+        k, r = LegendrianUnknot(-2, 1), Fraction(-7, 3)
+        # -7/3 is one chain entry with 2 stabilizations (and two with none)
+        shared = [convert(k, r, signs, classes) for signs in ((1, -1), (-1, 1))]
+        assert shared == [Presentation(k, r, (1, -1)), Presentation(k, r, (-1, 1))]
+        assert shared[0].components is shared[1].components
