@@ -13,10 +13,9 @@ from .errors import (
     InvalidLegendrianError,
     NonIntegralInvariantError,
     SingularMatrixError,
-    UnsupportedFramingError,
     ZeroSurgeryError,
 )
-from .exact import IntMatrix, Rational, RationalMatrix, apply, det, inner, invert, reduce
+from .exact import IntMatrix, RationalMatrix, apply, det, inner, invert
 from .kirby import (
     CONSISTENT_WITH_STANDARD_TIGHT,
     OVERTWISTED_CERTIFIED,
@@ -29,13 +28,9 @@ from .kirby import (
 )
 from .legendrian import (
     ExternalKnot,
-    FramingCurve,
     LegendrianUnknot,
-    contact_framing_curve,
     kirby_topological_condition,
     stabilize,
-    topological_coefficient,
-    validate_unknot,
 )
 from .presentation import (
     CFExpansion,
@@ -58,8 +53,6 @@ from .transform import (
     framing_unknot_tb_shift,
     invariants_after_surgery,
     invariants_by_inverse,
-    rot_after_surgery,
-    tb_after_surgery,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +65,6 @@ __all__ = [
     "Component",
     "CONSISTENT_WITH_STANDARD_TIGHT",
     "ExternalKnot",
-    "FramingCurve",
     "GateRejectionError",
     "IntMatrix",
     "InvalidExpansionError",
@@ -84,16 +76,13 @@ __all__ = [
     "PostSurgeryInvariants",
     "Presentation",
     "PresentationVerdict",
-    "Rational",
     "RationalMatrix",
     "SingularMatrixError",
-    "UnsupportedFramingError",
     "ZeroSurgeryError",
     "apply",
     "bennequin",
     "classify",
     "component_count",
-    "contact_framing_curve",
     "convert",
     "det",
     "emit_table",
@@ -109,12 +98,7 @@ __all__ = [
     "kirby_topological_condition",
     "linking_matrix",
     "linking_vector",
-    "reduce",
-    "rot_after_surgery",
     "rot_vector",
     "stabilization_budget",
     "stabilize",
-    "tb_after_surgery",
-    "topological_coefficient",
-    "validate_unknot",
 ]

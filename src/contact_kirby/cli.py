@@ -29,9 +29,9 @@ runs one dense ``invert`` and one dense ``det`` per class, all before
 the first byte, so an exit 3 prints nothing.  Nothing is kept between
 invocations.
 
-Both refuse a coefficient that converts into more than MAX_COMPONENTS
-components, and, without ``--signs``, one with more than
-2^MAX_BRANCH_BITS stabilization branches; ``table`` refuses an
+Both, and ``expand``, refuse a coefficient that converts into more than
+MAX_COMPONENTS components; without ``--signs`` both also refuse one with
+more than 2^MAX_BRANCH_BITS stabilization branches.  ``table`` refuses an
 ``--m-max`` and ``classify`` an ``--m`` above MAX_M_MAX.  An integer
 too long for Python to write (``sys.get_int_max_str_digits()``) exits 2
 before anything is printed.
@@ -53,10 +53,11 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
     echo_int,
+    echo_rational,
 )
 from .exact import det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
-from .legendrian import ExternalKnot, LegendrianUnknot, validate_unknot
+from .legendrian import ExternalKnot, LegendrianUnknot
 from .presentation import (
     Component,
     Presentation,
@@ -74,8 +75,8 @@ SCHEMA_VERSION = 1
 
 # convert/analyze without --signs enumerate at most 2^16 branches
 MAX_BRANCH_BITS = 16
-# convert/analyze refuse a coefficient with more components, with or
-# without --signs: 1/128 takes under a second, 1/256 several
+# expand/convert/analyze refuse a coefficient with more components, with
+# or without --signs: 1/128 takes under a second, 1/256 several
 MAX_COMPONENTS = 128
 # table --m-max 1000 takes about 8 s, and the work grows as m_max^2;
 # classify --m 1000 takes a fraction of a second, linear in m
@@ -394,7 +395,7 @@ def _diagram_from_args(args):
         coefficient = parse_rational(args.coeff)
         signs_text = args.signs
 
-    knot = validate_unknot(tb, rot)
+    knot = LegendrianUnknot(tb, rot)
     signs = None if signs_text is None else parse_signs(signs_text)
     echo = {
         "knot": _knot_doc(knot),
@@ -404,12 +405,20 @@ def _diagram_from_args(args):
     return knot, coefficient, signs, echo
 
 
-def _presentations(knot, coefficient, signs):
+def _check_components(coefficient) -> None:
+    """Refuse a coefficient that converts into more than MAX_COMPONENTS components.
+
+    A negative coefficient has one component per entry of its expansion.
+    """
     if component_count(coefficient, MAX_COMPONENTS) > MAX_COMPONENTS:
         raise InvalidInputError(
-            f"coefficient {coefficient} converts into more than "
+            f"coefficient {echo_rational(coefficient)} converts into more than "
             f"{MAX_COMPONENTS} components; at most {MAX_COMPONENTS} are supported"
         )
+
+
+def _presentations(knot, coefficient, signs):
+    _check_components(coefficient)
     if signs is None:
         budget = stabilization_budget(coefficient)
         if budget > MAX_BRANCH_BITS:
@@ -418,8 +427,8 @@ def _presentations(knot, coefficient, signs):
             else:
                 count = f"over {2 ** _SPELLED_BRANCH_BITS}"
             raise InvalidInputError(
-                f"coefficient {coefficient} has {count} stabilization "
-                f"branches (2^{budget}); without --signs at most "
+                f"coefficient {echo_rational(coefficient)} has {count} stabilization "
+                f"branches (2^{echo_int(budget)}); without --signs at most "
                 f"{2 ** MAX_BRANCH_BITS} (2^{MAX_BRANCH_BITS}) are listed"
             )
         return enumerate_presentations(knot, coefficient)
@@ -432,6 +441,8 @@ def _presentations(knot, coefficient, signs):
 
 def _cmd_expand(args) -> tuple:
     value = parse_rational(args.coefficient)
+    if value < 0:  # expand_negative refuses the rest with its own message
+        _check_components(value)
     coeffs = list(expand_negative(value).coeffs)
     _check_printable(coeffs)
     round_trip = evaluate_cf([coeffs[0] + 1] + coeffs[1:])
@@ -459,7 +470,7 @@ def _cmd_convert(args) -> tuple:
 
 def _cmd_analyze(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
-    ext = ExternalKnot(validate_unknot(args.ext_tb, args.ext_rot), args.lk)
+    ext = ExternalKnot(LegendrianUnknot(args.ext_tb, args.ext_rot), args.lk)
     echo["external"] = {
         "tb": ext.knot.tb,
         "rot": ext.knot.rot,

@@ -25,16 +25,18 @@ def echo_int(value: int) -> str:
     return f"a {'negative ' if value < 0 else ''}{digits}-digit integer"
 
 
+def echo_rational(value) -> str:
+    """A ``Fraction`` as a message writes it: each part by :func:`echo_int`."""
+    text = echo_int(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{echo_int(value.denominator)}"
+
+
 class InvalidInputError(ValueError):
     """Malformed or out-of-domain input."""
 
 
 class InvalidLegendrianError(InvalidInputError):
     """A (tb, rot) pair violates the Legendrian unknot invariants."""
-
-
-class UnsupportedFramingError(InvalidInputError):
-    """A framing coefficient that no embedded curve realizes here."""
 
 
 class InvalidExpansionError(InvalidInputError):

@@ -2,8 +2,8 @@
 
 Every quantity in this package is an integer or a reduced fraction; no
 floating point appears anywhere.  The scalar type is
-:class:`fractions.Fraction`, re-exported as :data:`Rational` (reduced
-numerator/denominator, positive denominator, zero stored as 0/1).
+:class:`fractions.Fraction` (reduced numerator/denominator, positive
+denominator, zero stored as 0/1).
 
 Matrices are small and dense, so determinants and inverses use
 fraction-free (Bareiss) elimination: every intermediate value is an
@@ -19,23 +19,10 @@ integer recurrence in linear time.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import InvalidInputError, SingularMatrixError
-
-Rational = Fraction
-IntVector = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
-
-Scalar = Union[int, Fraction]
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Return the unique reduced fraction num/den with positive denominator."""
-    if den == 0:
-        raise InvalidInputError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def _as_int(value) -> int:
@@ -52,7 +39,7 @@ class _SquareMatrix:
 
     __slots__ = ("entries",)
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+    def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
         coerce = self._coerce
         entries = tuple(tuple(coerce(x) for x in row) for row in rows)
         if not entries:
@@ -64,9 +51,6 @@ class _SquareMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.entries == other.entries
@@ -90,10 +74,6 @@ class RationalMatrix(_SquareMatrix):
 
     __slots__ = ()
     _coerce = Fraction
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
 
 
 def _eliminate(a: list, n: int) -> int:
@@ -177,7 +157,7 @@ def invert(matrix: IntMatrix) -> RationalMatrix:
     )
 
 
-def continuants(diagonal: Sequence[int]) -> IntVector:
+def continuants(diagonal: Sequence[int]) -> tuple[int, ...]:
     """Trailing continuants of a tridiagonal matrix whose off-diagonal squares are 1.
 
     For diagonal ``(a_1, ..., a_n)`` this returns ``(theta_1, ..., theta_n,
@@ -194,7 +174,7 @@ def continuants(diagonal: Sequence[int]) -> IntVector:
     return tuple(reversed(thetas[1:]))
 
 
-def apply(matrix, vector: Sequence[Scalar]) -> tuple:
+def apply(matrix, vector: Sequence[int | Fraction]) -> tuple:
     """Exact matrix-vector product, returned as a tuple of Fractions."""
     rows = matrix.entries
     v = tuple(vector)
@@ -208,7 +188,7 @@ def apply(matrix, vector: Sequence[Scalar]) -> tuple:
     )
 
 
-def inner(u: Sequence[Scalar], w: Sequence[Scalar]) -> Fraction:
+def inner(u: Sequence[int | Fraction], w: Sequence[int | Fraction]) -> Fraction:
     """Exact dot product of two equal-length vectors."""
     u = tuple(u)
     w = tuple(w)

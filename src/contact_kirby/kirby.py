@@ -29,15 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import GateRejectionError, InvalidLegendrianError, echo_int
-from .legendrian import (
-    ExternalKnot,
-    LegendrianUnknot,
-    kirby_topological_condition,
-    validate_unknot,
-)
+from .legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from .presentation import enumerate_presentations, signs_string
 from .transform import BennequinVerdict, bennequin, invariants_after_surgery
 
@@ -60,7 +54,7 @@ def _gate_check(m: int, n: int, rot: int) -> None:
             f"topological condition n = m +/- 1 fails (m={echo_int(m)}, n={echo_int(n)})",
         )
     try:
-        validate_unknot(-m, rot)
+        LegendrianUnknot(-m, rot)
     except InvalidLegendrianError as exc:
         raise GateRejectionError("valid unknot", str(exc)) from exc
 
@@ -102,12 +96,12 @@ class PresentationVerdict:
     """
 
     sign_choice: tuple
-    tb_new: Optional[int]
-    rot_new: Optional[int]
-    reason: Optional[str] = None
+    tb_new: int | None
+    rot_new: int | None
+    reason: str | None = None
 
     @cached_property
-    def bennequin(self) -> Optional[BennequinVerdict]:
+    def bennequin(self) -> BennequinVerdict | None:
         if self.tb_new is None:
             return None
         return bennequin(self.tb_new, self.rot_new)
@@ -146,7 +140,7 @@ class CandidateReport:
         )
 
 
-def gate(m: int, n: int, rot: Optional[int] = None) -> CandidateDiagram:
+def gate(m: int, n: int, rot: int | None = None) -> CandidateDiagram:
     """Admit a candidate diagram or raise naming the first failed condition.
 
     ``rot`` defaults to -(m - 1), the canonical representative; the

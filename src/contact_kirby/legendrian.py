@@ -8,27 +8,17 @@ integers, the Thurston-Bennequin number ``tb`` and the rotation number
 * ``tb + |rot| <= -1``  (the Bennequin inequality), and
 * ``rot = tb + 1 (mod 2)``  (front projections force the parity).
 
-Framing curves on the boundary torus of a tubular neighborhood are
-written in the (Seifert longitude, meridian) basis.  The contact
-longitude is always the derived curve ``longitude + tb * meridian``; it
-is never stored, so there is a single source of truth for framings.
+The constructor checks all three, so every :class:`LegendrianUnknot`
+is realizable; an invalid pair raises naming the condition it fails.
+Contact framing n on an unknot with tb = -m is topological framing
+n - m, which :func:`kirby_topological_condition` tests for +/-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Optional, Union
 
-from .errors import (
-    InvalidInputError,
-    InvalidLegendrianError,
-    UnsupportedFramingError,
-    echo_int,
-)
-
-Coefficient = Union[int, Fraction]
+from .errors import InvalidInputError, InvalidLegendrianError, echo_int
 
 
 def _check_invariants(tb: int, rot: int) -> None:
@@ -67,30 +57,11 @@ class LegendrianUnknot:
 
 
 @dataclass(frozen=True)
-class FramingCurve:
-    """An embedded curve on the boundary torus, in (longitude, meridian) coordinates."""
-
-    lambda_coeff: int
-    mu_coeff: int
-
-    def __post_init__(self):
-        if gcd(abs(self.lambda_coeff), abs(self.mu_coeff)) != 1:
-            raise InvalidInputError(
-                f"({self.lambda_coeff}, {self.mu_coeff}) is not primitive, the curve is not embedded"
-            )
-
-
-@dataclass(frozen=True)
 class ExternalKnot:
     """A Legendrian unknot outside the surgery link, with its linking number."""
 
     knot: LegendrianUnknot
     lk_with_original: int
-
-
-def validate_unknot(tb: int, rot: int) -> LegendrianUnknot:
-    """Return the Legendrian unknot (tb, rot), or raise naming the failed invariant."""
-    return LegendrianUnknot(tb, rot)
 
 
 def stabilize(knot: LegendrianUnknot, sign: int) -> LegendrianUnknot:
@@ -108,27 +79,7 @@ def mirror(knot: LegendrianUnknot) -> LegendrianUnknot:
     return LegendrianUnknot(knot.tb, -knot.rot)
 
 
-def contact_framing_curve(knot: LegendrianUnknot, n: Coefficient) -> FramingCurve:
-    """The contact framing-n curve, written against the Seifert longitude.
-
-    Contact framing n means ``contact_longitude + n * meridian``; expanding
-    the contact longitude gives ``longitude + (n + tb) * meridian``.  Only
-    integral n is a single embedded curve.
-    """
-    n = Fraction(n)
-    if n.denominator != 1:
-        raise UnsupportedFramingError(
-            f"framing {n} is not integral, no single curve represents it"
-        )
-    return FramingCurve(1, int(n) + knot.tb)
-
-
-def topological_coefficient(knot: LegendrianUnknot, r: Coefficient) -> Fraction:
-    """Translate a contact surgery coefficient to the Seifert-framed one: r + tb."""
-    return Fraction(r) + knot.tb
-
-
-def kirby_topological_condition(m: int, n: int) -> Optional[int]:
+def kirby_topological_condition(m: int, n: int) -> int | None:
     """Decide whether contact n-surgery on a tb = -m unknot is topologically (+/-1)-surgery.
 
     Returns +1 when n = m + 1, -1 when n = m - 1, and None otherwise; only

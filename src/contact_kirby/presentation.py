@@ -34,17 +34,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import countOf
-from typing import Optional, Sequence, Union
 
 from . import legendrian
-from .errors import InvalidExpansionError, InvalidInputError, ZeroSurgeryError
+from .errors import (
+    InvalidExpansionError,
+    InvalidInputError,
+    ZeroSurgeryError,
+    echo_int,
+    echo_rational,
+)
 from .exact import IntMatrix
 from .legendrian import ExternalKnot, LegendrianUnknot
 
-Coefficient = Union[int, Fraction]
+Coefficient = int | Fraction
 
 _INT_ONLY = frozenset((int,))
 _SIGNS = frozenset((1, -1))
@@ -71,10 +77,6 @@ class CFExpansion:
     def stabilization_counts(self) -> tuple:
         return tuple(-(c + 2) for c in self.coeffs)
 
-    @property
-    def total_stabilizations(self) -> int:
-        return sum(self.stabilization_counts)
-
 
 @dataclass(frozen=True)
 class Component:
@@ -91,13 +93,9 @@ class Component:
     stabs_neg: int = 0
 
     @property
-    def parent(self) -> Optional[int]:
+    def parent(self) -> int | None:
         """The component this one was pushed off from; the first has none."""
         return self.index - 1 if self.index else None
-
-    @property
-    def stabilizations(self) -> int:
-        return self.stabs_pos + self.stabs_neg
 
     @property
     def topological_coefficient(self) -> int:
@@ -118,7 +116,7 @@ class Presentation:
     source_knot: LegendrianUnknot
     source_coefficient: Fraction
     sign_choice: tuple
-    classes: InitVar[Optional[dict]] = None
+    classes: InitVar[dict | None] = None
     components: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, classes):
@@ -130,8 +128,8 @@ class Presentation:
         plus, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
         if len(sign_choice) != bounds[-1]:
             raise InvalidInputError(
-                f"sign vector has length {len(sign_choice)} but this conversion "
-                f"stabilizes {bounds[-1]} times"
+                f"sign vector has length {echo_int(len(sign_choice))} but this "
+                f"conversion stabilizes {echo_int(bounds[-1])} times"
             )
         # the class: how many signs of each chain entry are positive
         chunks = map(slice, bounds, bounds[1:])
@@ -197,7 +195,9 @@ def expand_negative(r: Coefficient) -> CFExpansion:
     """
     r = Fraction(r)
     if r >= 0:
-        raise InvalidInputError(f"only negative coefficients expand (got {r})")
+        raise InvalidInputError(
+            f"only negative coefficients expand (got {echo_rational(r)})"
+        )
     coeffs = list(_floor_expansion(r))
     coeffs[0] -= 1
     return CFExpansion(tuple(coeffs))
@@ -291,7 +291,7 @@ def convert(
     knot: LegendrianUnknot,
     coefficient: Coefficient,
     signs: Sequence[int] = (),
-    classes: Optional[dict] = None,
+    classes: dict | None = None,
 ) -> Presentation:
     """Convert contact r-surgery on ``knot`` into one (+/-1)-presentation.
 

@@ -8,7 +8,8 @@ components' rotation numbers:
     rot_new(K0) = rot(K0) - <C, M^-1 L>
     tb_new(K0)  = tb(K0)  - <L, M^-1 L>
 
-:func:`invariants_after_surgery` never inverts M.  Sliding each
+:func:`invariants_after_surgery`, the one entry point of the screen,
+solves for both invariants at once and never inverts M.  Sliding each
 component over its predecessor (the handle slides P, row i of P equal to e_i - e_{i-1}) makes P M P^T
 tridiagonal: the linear plumbing of the lens space that the surgery
 produces.  With t_i, s_i and r_i the tb, contact sign and rot of
@@ -102,8 +103,14 @@ def _require_integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def _solve(presentation: Presentation, ext: ExternalKnot) -> tuple:
-    """Exact (tb_new, rot_new) as Fractions, before any integrality check."""
+def invariants_after_surgery(
+    presentation: Presentation, ext: ExternalKnot
+) -> PostSurgeryInvariants:
+    """Both post-surgery invariants from one continuant solve.
+
+    tb is checked for integrality first, so a presentation where both
+    come out non-integral raises about tb.
+    """
     thetas = continuants(slid_diagonal(presentation))
     det = thetas[0]
     if det == 0:
@@ -118,26 +125,6 @@ def _solve(presentation: Presentation, ext: ExternalKnot) -> tuple:
         signs *= comp.contact_sign
     tb_new = Fraction(ext.knot.tb * det - lk * lk * thetas[1], det)
     rot_new = Fraction(ext.knot.rot * det - lk * pairing, det)
-    return tb_new, rot_new
-
-
-def rot_after_surgery(presentation: Presentation, ext: ExternalKnot) -> int:
-    """rot(K0) - <C, M^-1 L>, exactly."""
-    return _require_integral(_solve(presentation, ext)[1], "rotation number")
-
-
-def tb_after_surgery(presentation: Presentation, ext: ExternalKnot) -> int:
-    """tb(K0) - <L, M^-1 L>, exactly."""
-    return _require_integral(
-        _solve(presentation, ext)[0], "Thurston-Bennequin number"
-    )
-
-
-def invariants_after_surgery(
-    presentation: Presentation, ext: ExternalKnot
-) -> PostSurgeryInvariants:
-    """Both post-surgery invariants from a single exact solve."""
-    tb_new, rot_new = _solve(presentation, ext)
     return PostSurgeryInvariants(
         _require_integral(tb_new, "Thurston-Bennequin number"),
         _require_integral(rot_new, "rotation number"),

@@ -103,9 +103,11 @@ class TestExpand:
         assert document["round_trip"] == "-3/2"
 
     def test_rejects_positive(self, capsys):
-        code, _, err = run_cli(capsys, "expand", "1/2")
-        assert code == 2
-        assert "negative" in err
+        # 1/N would convert into N components, but expand refuses its sign first
+        for coefficient in ("0", "5/3", "1/2", f"1/{10 ** 18}"):
+            code, out, err = run_cli(capsys, "expand", coefficient)
+            assert (code, out) == (2, "")
+            assert err == f"error: only negative coefficients expand (got {coefficient})\n"
 
     def test_rejects_unparseable(self, capsys):
         code, _, err = run_cli(capsys, "expand", "0.5")
@@ -640,6 +642,12 @@ class TestBounds:
                 )
                 assert (code, out) == (2, "")
                 assert "more than 5 components" in err
+        # expand writes one entry per chain component
+        code, out, _ = run_cli(capsys, "expand", "-6/5")
+        assert (code, out.splitlines()[0]) == (0, "[-3, -2, -2, -2, -2]")
+        code, out, err = run_cli(capsys, "expand", "-7/6")
+        assert (code, out) == (2, "")
+        assert "more than 5 components" in err
 
     def test_endless_conversions_exit_2_at_once(self, capsys):
         # stepping 1/N -> 1/(N-1), or expanding -(N+1)/N entry by entry,
@@ -652,6 +660,20 @@ class TestBounds:
                 )
                 assert (code, out) == (2, "")
                 assert "more than 128 components" in err
+
+    def test_expand_refuses_too_many_entries(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "-1/128", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["coefficients"]) == 128
+        # -1/N expands into N entries
+        for coefficient in ("-1/129", f"-1/{10 ** 18}"):
+            for fmt in ("json", "table"):
+                code, out, err = run_cli(capsys, "expand", coefficient, "--format", fmt)
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"error: coefficient {coefficient} converts into more than 128 "
+                    "components; at most 128 are supported\n"
+                )
 
     def test_m_max_above_the_bound_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "table", "--m-max", "1001")
@@ -721,6 +743,34 @@ class TestLongEchoes:
                 ("convert", "--tb", str(-HUGE), "--rot", "0", "--coeff", "1"),
                 "parity rot = tb + 1 (mod 2) fails (tb=a negative 4001-digit integer, rot=0)",
             ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", str(-HUGE)),
+                "coefficient a negative 4001-digit integer has over 18446744073709551616 "
+                "stabilization branches (2^a 4000-digit integer); without --signs at most "
+                "65536 (2^16) are listed",
+            ),
+            (
+                ("analyze", "--tb", "-1", "--rot", "0", "--coeff", f"{-HUGE}/3", "--lk", "1"),
+                "coefficient a negative 4001-digit integer/3 has over 18446744073709551616 "
+                "stabilization branches (2^a 4000-digit integer); without --signs at most "
+                "65536 (2^16) are listed",
+            ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", f"1/{HUGE}"),
+                "coefficient 1/a 4001-digit integer converts into more than 128 components; "
+                "at most 128 are supported",
+            ),
+            (
+                ("expand", f"-1/{HUGE}"),
+                "coefficient -1/a 4001-digit integer converts into more than 128 components; "
+                "at most 128 are supported",
+            ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", str(-HUGE), "--signs=+"),
+                "sign vector has length 1 but this conversion stabilizes a 4000-digit "
+                "integer times",
+            ),
+            (("expand", str(HUGE)), "only negative coefficients expand (got a 4001-digit integer)"),
         ],
     )
     def test_a_long_value_is_written_as_its_digit_count(self, capsys, argv, message):
@@ -742,6 +792,26 @@ class TestLongEchoes:
             (
                 ("classify", "--m", "2", "--n", str(10 ** 20)),
                 "topological condition n = m +/- 1 fails (m=2, n=a 21-digit integer)",
+            ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-40"),
+                "coefficient -40 has 549755813888 stabilization branches (2^39); "
+                "without --signs at most 65536 (2^16) are listed",
+            ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", f"-{10 ** 20 - 1}/7"),
+                f"coefficient -{10 ** 20 - 1}/7 has over 18446744073709551616 stabilization "
+                "branches (2^14285714285714285714); without --signs at most 65536 (2^16) "
+                "are listed",
+            ),
+            (
+                ("analyze", "--tb", "-1", "--rot", "0", "--coeff", f"1/{10 ** 20 - 1}", "--lk", "1"),
+                f"coefficient 1/{10 ** 20 - 1} converts into more than 128 components; "
+                "at most 128 are supported",
+            ),
+            (
+                ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-5", "--signs=+"),
+                "sign vector has length 1 but this conversion stabilizes 4 times",
             ),
         ],
     )

@@ -15,7 +15,7 @@ from contact_kirby.kirby import (
 )
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import enumerate_presentations, linking_matrix
-from contact_kirby.transform import BennequinVerdict, rot_after_surgery, tb_after_surgery
+from contact_kirby.transform import BennequinVerdict, invariants_after_surgery
 
 
 class TestGate:
@@ -113,8 +113,9 @@ class TestClassify:
             assert len(fresh) == len(report.verdicts)
             for pres, verdict in zip(fresh, report.verdicts):
                 assert pres.sign_choice == verdict.sign_choice
-                assert tb_after_surgery(pres, ext) == verdict.tb_new
-                assert rot_after_surgery(pres, ext) == verdict.rot_new
+                invariants = invariants_after_surgery(pres, ext)
+                assert invariants.tb_new == verdict.tb_new
+                assert invariants.rot_new == verdict.rot_new
 
     def test_classified_presentations_are_homology_spheres(self):
         for m, n in ((1, 2), (2, 3), (2, 1), (5, 6), (5, 4)):

@@ -1,48 +1,39 @@
-"""Legendrian unknot invariants, stabilization, and framing arithmetic."""
+"""Legendrian unknot invariants, stabilization, and the topological condition."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from contact_kirby.errors import (
-    InvalidInputError,
-    InvalidLegendrianError,
-    UnsupportedFramingError,
-)
+from contact_kirby.errors import InvalidInputError, InvalidLegendrianError
 from contact_kirby.legendrian import (
     ExternalKnot,
-    FramingCurve,
     LegendrianUnknot,
-    contact_framing_curve,
     kirby_topological_condition,
     mirror,
     stabilize,
-    topological_coefficient,
-    validate_unknot,
 )
 
 
 class TestValidateUnknot:
     def test_standard_unknot(self):
-        k = validate_unknot(-1, 0)
+        k = LegendrianUnknot(-1, 0)
         assert (k.tb, k.rot) == (-1, 0)
 
     def test_canonical_candidate_m3(self):
-        k = validate_unknot(-3, -2)
+        k = LegendrianUnknot(-3, -2)
         assert (k.tb, k.rot) == (-3, -2)
 
     def test_parity_violation(self):
         with pytest.raises(InvalidLegendrianError, match="parity"):
-            validate_unknot(-2, 0)
+            LegendrianUnknot(-2, 0)
 
     def test_positive_tb(self):
         with pytest.raises(InvalidLegendrianError, match="tb"):
-            validate_unknot(0, 0)
+            LegendrianUnknot(0, 0)
 
     def test_bennequin_violation(self):
         with pytest.raises(InvalidLegendrianError, match="Bennequin"):
-            validate_unknot(-1, 2)
+            LegendrianUnknot(-1, 2)
 
     def test_dataclass_constructor_validates_too(self):
         with pytest.raises(InvalidLegendrianError):
@@ -95,44 +86,6 @@ class TestStabilize:
             change = out.rot - k.rot
             assert abs(change) <= len(signs)
             assert (change - len(signs)) % 2 == 0
-
-
-class TestFraming:
-    def test_plus_one_curve(self):
-        m = 4
-        assert contact_framing_curve(LegendrianUnknot(-m, m - 1), m + 1) == FramingCurve(1, 1)
-
-    def test_minus_one_curve(self):
-        m = 4
-        assert contact_framing_curve(LegendrianUnknot(-m, m - 1), m - 1) == FramingCurve(1, -1)
-
-    def test_zero_framing(self):
-        assert contact_framing_curve(LegendrianUnknot(-3, 0), 3) == FramingCurve(1, 0)
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(UnsupportedFramingError):
-            contact_framing_curve(LegendrianUnknot(-2, 1), Fraction(1, 2))
-
-    def test_topological_coefficient(self):
-        m = 5
-        k = LegendrianUnknot(-m, -(m - 1))
-        assert topological_coefficient(k, m + 1) == 1
-        assert topological_coefficient(k, m - 1) == -1
-        assert topological_coefficient(LegendrianUnknot(-1, 0), 0) == -1
-        assert topological_coefficient(LegendrianUnknot(-2, 1), Fraction(-3, 2)) == Fraction(-7, 2)
-
-    def test_curve_and_coefficient_agree_on_integral_framings(self):
-        rng = random.Random(5150)
-        for _ in range(200):
-            tb = -rng.randint(1, 9)
-            rot = tb + 1 + 2 * rng.randint(0, -tb - 1)
-            k = LegendrianUnknot(tb, rot)
-            n = rng.randint(-10, 10)
-            assert contact_framing_curve(k, n).mu_coeff == topological_coefficient(k, n)
-
-    def test_non_primitive_curve_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FramingCurve(2, 4)
 
 
 class TestKirbyCondition:

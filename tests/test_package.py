@@ -1,0 +1,32 @@
+"""What importing the package loads, and what it exports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import contact_kirby
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_the_cli_imports_without_typing():
+    # a fresh interpreter without site, so nothing but the package's own
+    # imports can bring ``typing`` in
+    child = subprocess.run(
+        [
+            sys.executable, "-S", "-c",
+            "import sys, contact_kirby.cli; print('typing' in sys.modules)",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in contact_kirby.__all__ if not hasattr(contact_kirby, name)]
+    assert missing == []
+    assert len(set(contact_kirby.__all__)) == len(contact_kirby.__all__)
+    namespace = {}
+    exec("from contact_kirby import *", namespace)
+    assert set(contact_kirby.__all__) <= namespace.keys()

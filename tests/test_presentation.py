@@ -88,7 +88,7 @@ class TestExpandNegative:
     def test_minus_one(self):
         expansion = expand_negative(-1)
         assert expansion.coeffs == (-2,)
-        assert expansion.total_stabilizations == 0
+        assert expansion.stabilization_counts == (0,)
 
     def test_chain_coefficient_m5(self):
         assert expand_negative(Fraction(-6, 5)).coeffs == (-3, -2, -2, -2, -2)
@@ -118,7 +118,7 @@ class TestConvert:
         k = LegendrianUnknot(-3, -2)
         pres = convert(k, 4, [1])
         data = [
-            (c.knot.tb, c.knot.rot, c.contact_sign, c.parent, c.stabilizations)
+            (c.knot.tb, c.knot.rot, c.contact_sign, c.parent, c.stabs_pos + c.stabs_neg)
             for c in pres.components
         ]
         assert data == [
@@ -138,7 +138,7 @@ class TestConvert:
         pres = convert(LegendrianUnknot(-1, 0), -1)
         assert len(pres.components) == 1
         assert pres.components[0].contact_sign == -1
-        assert pres.components[0].stabilizations == 0
+        assert (pres.components[0].stabs_pos, pres.components[0].stabs_neg) == (0, 0)
 
     def test_plus_two_on_standard_unknot(self):
         pres = convert(LegendrianUnknot(-1, 0), 2, [1])
@@ -152,7 +152,7 @@ class TestConvert:
         # 1/2-surgery reduces to +1 on the knot and +1 on one push-off
         pres = convert(LegendrianUnknot(-1, 0), Fraction(1, 2))
         assert [c.contact_sign for c in pres.components] == [1, 1]
-        assert [c.stabilizations for c in pres.components] == [0, 0]
+        assert [(c.stabs_pos, c.stabs_neg) for c in pres.components] == [(0, 0)] * 2
         assert pres.components[1].parent == 0
 
     def test_pure_negative_chain_head_carries_stabilizations(self):
@@ -365,7 +365,7 @@ class TestStructureChecks:
             assert [c.index for c in pres.components] == list(range(len(pres.components)))
             plus = [c for c in pres.components if c.contact_sign == 1]
             assert pres.components[:len(plus)] == tuple(plus)
-            assert all(c.knot == k and c.stabilizations == 0 for c in plus)
+            assert all(c.knot == k and c.stabs_pos == c.stabs_neg == 0 for c in plus)
             chain = pres.components[len(plus):]
             counts = ()
             if chain:

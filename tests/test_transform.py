@@ -28,8 +28,6 @@ from contact_kirby.transform import (
     framing_unknot_tb_shift,
     invariants_after_surgery,
     invariants_by_inverse,
-    rot_after_surgery,
-    tb_after_surgery,
 )
 
 from oracles import gauss_solve
@@ -49,7 +47,7 @@ class TestRotAfterSurgery:
     def test_plus_branch_formula(self):
         ext = ExternalKnot(FRAMING_UNKNOT, 1)
         for m in range(1, 13):
-            assert rot_after_surgery(plus_branch(m), ext) == 2 * m - 1
+            assert invariants_after_surgery(plus_branch(m), ext).rot_new == 2 * m - 1
 
     def test_minus_branch_value(self):
         ext = ExternalKnot(FRAMING_UNKNOT, 1)
@@ -60,19 +58,21 @@ class TestRotAfterSurgery:
             solved = gauss_solve(matrix, linking_vector(pres, ext))
             pairing = sum(c * x for c, x in zip(rot_vector(pres), solved))
             assert pairing == 1
-            assert rot_after_surgery(pres, ext) == -1
+            assert invariants_after_surgery(pres, ext).rot_new == -1
 
     def test_zero_linking_leaves_rot(self):
         ext = ExternalKnot(LegendrianUnknot(-2, 1), 0)
-        assert rot_after_surgery(plus_branch(3), ext) == 1
+        assert invariants_after_surgery(plus_branch(3), ext).rot_new == 1
 
     def test_non_integral_raises_with_value(self):
-        # contact -3 on the standard unknot has |det M| = 4
-        pres = convert(LegendrianUnknot(-1, 0), -3, [1, 1])
-        ext = ExternalKnot(FRAMING_UNKNOT, 1)
-        with pytest.raises(NonIntegralInvariantError) as info:
-            rot_after_surgery(pres, ext)
-        assert info.value.value == Fraction(1, 2)
+        # contact -3/2 on a tb -3 unknot has |det M| = 9; at lk 3 tb_new
+        # is an integer and rot_new is not
+        pres = convert(LegendrianUnknot(-3, 0), Fraction(-3, 2), [1])
+        ext = ExternalKnot(FRAMING_UNKNOT, 3)
+        with pytest.raises(NonIntegralInvariantError, match="rotation number") as info:
+            invariants_after_surgery(pres, ext)
+        assert info.value.value == Fraction(2, 3)
+        assert dense_solve(pres, ext)[1] == Fraction(2, 3)
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
@@ -95,14 +95,14 @@ class TestRotAfterSurgery:
         # contact 2 on a tb -2 unknot is topologically 0-surgery, det 0
         pres = convert(LegendrianUnknot(-2, -1), 2, [1])
         with pytest.raises(SingularMatrixError):
-            rot_after_surgery(pres, ExternalKnot(FRAMING_UNKNOT, 1))
+            invariants_after_surgery(pres, ExternalKnot(FRAMING_UNKNOT, 1))
 
 
 class TestTbAfterSurgery:
     def test_plus_family(self):
         ext = ExternalKnot(FRAMING_UNKNOT, 1)
         for m in range(1, 13):
-            assert tb_after_surgery(plus_branch(m), ext) == -2
+            assert invariants_after_surgery(plus_branch(m), ext).tb_new == -2
 
     def test_minus_family(self):
         ext = ExternalKnot(FRAMING_UNKNOT, -1)
@@ -110,11 +110,11 @@ class TestTbAfterSurgery:
             for pres in enumerate_presentations(
                 LegendrianUnknot(-m, -(m - 1)), m - 1
             ):
-                assert tb_after_surgery(pres, ext) == 0
+                assert invariants_after_surgery(pres, ext).tb_new == 0
 
     def test_zero_linking_leaves_tb(self):
         ext = ExternalKnot(LegendrianUnknot(-2, 1), 0)
-        assert tb_after_surgery(plus_branch(3), ext) == -2
+        assert invariants_after_surgery(plus_branch(3), ext).tb_new == -2
 
     def test_sign_vector_independence(self):
         rng = random.Random(1729)
@@ -128,7 +128,7 @@ class TestTbAfterSurgery:
             values = set()
             for pres in enumerate_presentations(k, r):
                 try:
-                    values.add(tb_after_surgery(pres, ext))
+                    values.add(invariants_after_surgery(pres, ext).tb_new)
                 except NonIntegralInvariantError as err:
                     values.add(err.value)
                 except SingularMatrixError:
@@ -143,7 +143,7 @@ class TestAgainstFramingShift:
             for pres in enumerate_presentations(
                 LegendrianUnknot(-m, -(m - 1)), m + 1
             ):
-                assert tb_after_surgery(pres, ext) == framing_unknot_tb_shift(1, -1)
+                assert invariants_after_surgery(pres, ext).tb_new == framing_unknot_tb_shift(1, -1)
 
     def test_minus_family_agrees(self):
         ext = ExternalKnot(FRAMING_UNKNOT, -1)
@@ -151,7 +151,7 @@ class TestAgainstFramingShift:
             for pres in enumerate_presentations(
                 LegendrianUnknot(-m, -(m - 1)), m - 1
             ):
-                assert tb_after_surgery(pres, ext) == framing_unknot_tb_shift(-1, -1)
+                assert invariants_after_surgery(pres, ext).tb_new == framing_unknot_tb_shift(-1, -1)
 
     def test_shift_examples(self):
         assert framing_unknot_tb_shift(1, -1) == -2
@@ -194,8 +194,8 @@ class TestBundledInvariants:
         for m in (1, 2, 5):
             pres = minus_branch(m)
             bundle = invariants_after_surgery(pres, ext)
-            assert bundle.tb_new == tb_after_surgery(pres, ext)
-            assert bundle.rot_new == rot_after_surgery(pres, ext)
+            # the dense inverse, applied and paired by the exact ops one at a time
+            assert (bundle.tb_new, bundle.rot_new) == dense_solve(pres, ext)
 
     def test_mirror_symmetry(self):
         rng = random.Random(99)
@@ -254,8 +254,6 @@ def outcome(fn, pres, ext):
         result = fn(pres, ext)
     except NonIntegralInvariantError as err:
         return (type(err), err.value)
-    if isinstance(result, int):
-        return result
     return (result.tb_new, result.rot_new)
 
 
@@ -277,12 +275,7 @@ class TestContinuantSolveAgainstDense:
                 seen["singular"] += 1
                 with pytest.raises(ZeroDivisionError):
                     oracle_solve(pres, ext)
-                for fn in (
-                    invariants_after_surgery,
-                    invariants_by_inverse,
-                    tb_after_surgery,
-                    rot_after_surgery,
-                ):
+                for fn in (invariants_after_surgery, invariants_by_inverse):
                     with pytest.raises(SingularMatrixError):
                         fn(pres, ext)
                 continue
@@ -290,8 +283,6 @@ class TestContinuantSolveAgainstDense:
 
             tb_expected = expected_outcome(tb_value)
             rot_expected = expected_outcome(rot_value)
-            assert outcome(tb_after_surgery, pres, ext) == tb_expected
-            assert outcome(rot_after_surgery, pres, ext) == rot_expected
             both = outcome(invariants_after_surgery, pres, ext)
             if isinstance(tb_expected, tuple):
                 assert both == tb_expected  # tb is checked first
