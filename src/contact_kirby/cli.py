@@ -54,6 +54,7 @@ from .errors import (
     SingularMatrixError,
     echo_int,
     echo_rational,
+    echo_text,
 )
 from .exact import det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
@@ -106,13 +107,12 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise InvalidInputError(
-            f"coefficients must be integers or p/q strings, got {text!r}"
-        )
+        shown = echo_text(text) if isinstance(text, str) else echo_text(repr(text), str)
+        raise InvalidInputError(f"coefficients must be integers or p/q strings, got {shown}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
-        raise InvalidInputError(f"zero denominator in {text!r}") from exc
+        raise InvalidInputError(f"zero denominator in {echo_text(text)}") from exc
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
         raise InvalidInputError(f"coefficient is too long to read: {exc}") from exc
 
@@ -120,7 +120,7 @@ def parse_rational(text) -> Fraction:
 def parse_signs(text: str) -> tuple:
     if not re.fullmatch(r"[+-]*", text):
         raise InvalidInputError(
-            f"signs must be a string over '+' and '-', got {text!r}"
+            f"signs must be a string over '+' and '-', got {echo_text(text)}"
         )
     return tuple(1 if ch == "+" else -1 for ch in text)
 
@@ -380,7 +380,7 @@ def _diagram_from_args(args):
         for field, value in (("tb", tb), ("rot", rot)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidInputError(
-                    f"knot {field} must be an integer, got {json.dumps(value)}"
+                    f"knot {field} must be an integer, got {echo_text(json.dumps(value), str)}"
                 )
         coefficient = parse_rational(raw.get("coefficient"))
         signs_text = raw.get("signs")

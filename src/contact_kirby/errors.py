@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by the whole package.
+"""Exception taxonomy shared by the whole package, with the rules by
+which messages echo their input and the base of the package's values.
 
 Callers need two distinctions: bad input (the CLI maps these to exit
 code 2) and exact-arithmetic impossibilities (exit code 3).
@@ -29,6 +30,67 @@ def echo_rational(value) -> str:
     """A ``Fraction`` as a message writes it: each part by :func:`echo_int`."""
     text = echo_int(value.numerator)
     return text if value.denominator == 1 else f"{text}/{echo_int(value.denominator)}"
+
+
+# a message writes a text of more than 20 characters as its start and length
+_ECHOED_CHARS = 20
+
+
+def echo_text(text: str, show=repr) -> str:
+    """``show(text)`` as a message writes it: in full up to 20 characters.
+
+    A longer text is written as ``show`` of its first 20 characters and
+    its length, as in ``'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)``,
+    so an out-of-range input cannot make its message thousands of
+    characters long.
+    """
+    if len(text) <= _ECHOED_CHARS:
+        return show(text)
+    return f"{show(text[:_ECHOED_CHARS])}... ({len(text)} characters)"
+
+
+class Value:
+    """An immutable value whose equality, hash and repr come from ``_fields``.
+
+    A subclass lists its fields in ``__slots__`` and ``_fields`` and sets
+    each one in ``__init__`` with ``object.__setattr__``; after that, any
+    assignment or deletion raises ``AttributeError``.  A value equals only
+    a value of its own class with equal fields, and prints as
+    ``Name(field=value, ...)``.  Copy and pickle rebuild it through the
+    constructor, which checks the fields again.  It stands in for
+    ``@dataclass(frozen=True)``, whose module imports ``inspect`` and so
+    would slow the start of every command.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 class InvalidInputError(ValueError):

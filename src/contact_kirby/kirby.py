@@ -26,11 +26,9 @@ from what they hold, never stored beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .errors import GateRejectionError, InvalidLegendrianError, echo_int
+from .errors import GateRejectionError, InvalidLegendrianError, Value, echo_int
 from .legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from .presentation import enumerate_presentations, signs_string
 from .transform import BennequinVerdict, bennequin, invariants_after_surgery
@@ -39,6 +37,8 @@ OVERTWISTED_CERTIFIED = "overtwisted-certified"
 CONSISTENT_WITH_STANDARD_TIGHT = "consistent-with-standard-tight"
 
 ZERO_SURGERY_REASON = "contact 0-surgery yields an overtwisted contact structure"
+
+_set = object.__setattr__
 
 
 def _gate_check(m: int, n: int, rot: int) -> None:
@@ -59,16 +59,16 @@ def _gate_check(m: int, n: int, rot: int) -> None:
         raise GateRejectionError("valid unknot", str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class CandidateDiagram:
+class CandidateDiagram(Value):
     """A gated candidate: contact n-surgery on the unknot with tb = -m."""
 
-    m: int
-    n: int
-    rot: int
+    __slots__ = _fields = ("m", "n", "rot")
 
-    def __post_init__(self):
-        _gate_check(self.m, self.n, self.rot)
+    def __init__(self, m: int, n: int, rot: int):
+        _gate_check(m, n, rot)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "rot", rot)
 
     @property
     def branch(self) -> int:
@@ -84,27 +84,29 @@ class CandidateDiagram:
         return LegendrianUnknot(-self.m, self.rot)
 
 
-@dataclass(frozen=True)
-class PresentationVerdict:
+class PresentationVerdict(Value):
     """Verdict for one stabilization branch of a candidate's conversion.
 
     ``bennequin`` and ``status`` are derived: the Bennequin check of the
-    invariants, and consistent with the standard tight 3-sphere exactly
-    when that check is satisfied, otherwise overtwisted-certified.  The
-    contact 0-surgery shortcut records no invariants, so no check, and
-    carries its justification in ``reason`` instead.
+    invariants, made once by the constructor, and consistent with the
+    standard tight 3-sphere exactly when that check is satisfied,
+    otherwise overtwisted-certified.  The contact 0-surgery shortcut
+    records no invariants, so no check, and carries its justification in
+    ``reason`` instead.
     """
 
-    sign_choice: tuple
-    tb_new: int | None
-    rot_new: int | None
-    reason: str | None = None
+    _fields = ("sign_choice", "tb_new", "rot_new", "reason")
+    __slots__ = _fields + ("bennequin",)
 
-    @cached_property
-    def bennequin(self) -> BennequinVerdict | None:
-        if self.tb_new is None:
-            return None
-        return bennequin(self.tb_new, self.rot_new)
+    def __init__(
+        self, sign_choice: tuple, tb_new: int | None, rot_new: int | None,
+        reason: str | None = None,
+    ):
+        _set(self, "sign_choice", sign_choice)
+        _set(self, "tb_new", tb_new)
+        _set(self, "rot_new", rot_new)
+        _set(self, "reason", reason)
+        _set(self, "bennequin", None if tb_new is None else bennequin(tb_new, rot_new))
 
     @property
     def status(self) -> str:
@@ -118,12 +120,14 @@ class PresentationVerdict:
         return signs_string(self.sign_choice)
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(Value):
     """Full screening result for one candidate diagram."""
 
-    diagram: CandidateDiagram
-    verdicts: tuple
+    __slots__ = _fields = ("diagram", "verdicts")
+
+    def __init__(self, diagram: CandidateDiagram, verdicts: tuple):
+        _set(self, "diagram", diagram)
+        _set(self, "verdicts", verdicts)
 
     @property
     def collection(self) -> str:

@@ -16,9 +16,9 @@ n - m, which :func:`kirby_topological_condition` tests for +/-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import InvalidInputError, InvalidLegendrianError, Value, echo_int
 
-from .errors import InvalidInputError, InvalidLegendrianError, echo_int
+_set = object.__setattr__
 
 
 def _check_invariants(tb: int, rot: int) -> None:
@@ -45,23 +45,25 @@ def _shown(tb: int, rot: int) -> str:
     return f"tb={echo_int(tb)}, rot={echo_int(rot)}"
 
 
-@dataclass(frozen=True)
-class LegendrianUnknot:
+class LegendrianUnknot(Value):
     """A Legendrian unknot, identified by its classical invariants."""
 
-    tb: int
-    rot: int
+    __slots__ = _fields = ("tb", "rot")
 
-    def __post_init__(self):
-        _check_invariants(self.tb, self.rot)
+    def __init__(self, tb: int, rot: int):
+        _check_invariants(tb, rot)
+        _set(self, "tb", tb)
+        _set(self, "rot", rot)
 
 
-@dataclass(frozen=True)
-class ExternalKnot:
+class ExternalKnot(Value):
     """A Legendrian unknot outside the surgery link, with its linking number."""
 
-    knot: LegendrianUnknot
-    lk_with_original: int
+    __slots__ = _fields = ("knot", "lk_with_original")
+
+    def __init__(self, knot: LegendrianUnknot, lk_with_original: int):
+        _set(self, "knot", knot)
+        _set(self, "lk_with_original", lk_with_original)
 
 
 def stabilize(knot: LegendrianUnknot, sign: int) -> LegendrianUnknot:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import countOf
 
@@ -43,6 +42,7 @@ from . import legendrian
 from .errors import (
     InvalidExpansionError,
     InvalidInputError,
+    Value,
     ZeroSurgeryError,
     echo_int,
     echo_rational,
@@ -56,41 +56,47 @@ _INT_ONLY = frozenset((int,))
 _SIGNS = frozenset((1, -1))
 _SIGN_TEXT = {1: "+", -1: "-"}
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class CFExpansion:
+
+class CFExpansion(Value):
     """A negative continued fraction, all coefficients at most -2."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: tuple):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise InvalidExpansionError("expansion needs at least one coefficient")
         if any(c > -2 for c in coeffs):
             raise InvalidExpansionError(
                 f"expansion coefficients must be at most -2, got {list(coeffs)}"
             )
+        _set(self, "coeffs", coeffs)
 
     @property
     def stabilization_counts(self) -> tuple:
         return tuple(-(c + 2) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """One knot of a (+/-1)-presentation link.
 
     ``stabs_pos``/``stabs_neg`` count the zigzags added after the
     push-off.
     """
 
-    index: int
-    knot: LegendrianUnknot
-    contact_sign: int
-    stabs_pos: int = 0
-    stabs_neg: int = 0
+    __slots__ = _fields = ("index", "knot", "contact_sign", "stabs_pos", "stabs_neg")
+
+    def __init__(
+        self, index: int, knot: LegendrianUnknot, contact_sign: int,
+        stabs_pos: int = 0, stabs_neg: int = 0,
+    ):
+        _set(self, "index", index)
+        _set(self, "knot", knot)
+        _set(self, "contact_sign", contact_sign)
+        _set(self, "stabs_pos", stabs_pos)
+        _set(self, "stabs_neg", stabs_neg)
 
     @property
     def parent(self) -> int | None:
@@ -102,8 +108,7 @@ class Component:
         return self.knot.tb + self.contact_sign
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """An ordered (+/-1)-surgery link replacing one rational contact surgery.
 
     A presentation is its knot, its coefficient and its stabilization
@@ -113,15 +118,15 @@ class Presentation:
     of one Legendrian class the components tuple the first one built.
     """
 
-    source_knot: LegendrianUnknot
-    source_coefficient: Fraction
-    sign_choice: tuple
-    classes: InitVar[dict | None] = None
-    components: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("source_knot", "source_coefficient", "sign_choice")
+    __slots__ = _fields + ("components",)
 
-    def __post_init__(self, classes):
-        coefficient = _as_fraction(self.source_coefficient)
-        sign_choice = tuple(self.sign_choice)
+    def __init__(
+        self, source_knot: LegendrianUnknot, source_coefficient: Coefficient,
+        sign_choice: Sequence[int], classes: dict | None = None,
+    ):
+        coefficient = _as_fraction(source_coefficient)
+        sign_choice = tuple(sign_choice)
         # exact types first: True and 1.0 equal 1 but are not signs
         if not (_INT_ONLY.issuperset(map(type, sign_choice)) and _SIGNS.issuperset(sign_choice)):
             raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
@@ -137,10 +142,11 @@ class Presentation:
         classes = {} if classes is None else classes
         components = classes.get(key)
         if components is None:
-            components = classes[key] = _components(self.source_knot, plus, counts, key, classes)
-        object.__setattr__(self, "source_coefficient", coefficient)
-        object.__setattr__(self, "sign_choice", sign_choice)
-        object.__setattr__(self, "components", components)
+            components = classes[key] = _components(source_knot, plus, counts, key, classes)
+        _set(self, "source_knot", source_knot)
+        _set(self, "source_coefficient", coefficient)
+        _set(self, "sign_choice", sign_choice)
+        _set(self, "components", components)
 
     @property
     def signs_string(self) -> str:

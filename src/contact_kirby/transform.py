@@ -51,10 +51,9 @@ quadratic form.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
+from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError, Value
 from .exact import apply, continuants, inner, invert
 from .legendrian import ExternalKnot
 from .presentation import (
@@ -66,16 +65,20 @@ from .presentation import (
 )
 
 
-@dataclass(frozen=True)
-class PostSurgeryInvariants:
+_set = object.__setattr__
+
+
+class PostSurgeryInvariants(Value):
     """Invariants of an external knot in the surgered manifold."""
 
-    tb_new: int
-    rot_new: int
+    __slots__ = _fields = ("tb_new", "rot_new")
+
+    def __init__(self, tb_new: int, rot_new: int):
+        _set(self, "tb_new", tb_new)
+        _set(self, "rot_new", rot_new)
 
 
-@dataclass(frozen=True)
-class BennequinVerdict:
+class BennequinVerdict(Value):
     """Outcome of the Bennequin test tb + |rot| <= -1.
 
     ``slack`` is ``-1 - tb - |rot|``; the inequality holds exactly when
@@ -84,8 +87,11 @@ class BennequinVerdict:
     nothing.
     """
 
-    satisfied: bool
-    slack: int
+    __slots__ = _fields = ("satisfied", "slack")
+
+    def __init__(self, satisfied: bool, slack: int):
+        _set(self, "satisfied", satisfied)
+        _set(self, "slack", slack)
 
 
 def _require_integral(value: Fraction, what: str) -> int:

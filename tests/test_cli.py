@@ -827,6 +827,95 @@ class TestLongEchoes:
             assert echo_int(1 - 10 ** digits) == f"a negative {digits}-digit integer"
 
 
+def diagram_file(tmp_path, knot=(), coefficient="2", signs=None):
+    document = {"knot": {"type": "unknot", "tb": -1, "rot": 0, **dict(knot)}}
+    document["coefficient"] = coefficient
+    if signs is not None:
+        document["signs"] = signs
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+class TestLongTextEchoes:
+    """A message writes a text of more than 20 characters as its start and length."""
+
+    DIAGRAM = ("convert", "--tb", "-1", "--rot", "0")
+    RATIONAL = "coefficients must be integers or p/q strings, got "
+    SIGNS = "signs must be a string over '+' and '-', got "
+    ZERO = "zero denominator in "
+    X20 = "'" + "x" * 20 + "'"
+    ZEROS = "'1/" + "0" * 18 + "'"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("expand", "1." + "5" * 4998), RATIONAL + "'1." + "5" * 18 + "'... (5000 characters)"),
+            (DIAGRAM + ("--coeff", "x" * 5000), RATIONAL + X20 + "... (5000 characters)"),
+            (("expand", "1/" + "0" * 4000), ZERO + ZEROS + "... (4002 characters)"),
+            (
+                DIAGRAM + ("--coeff", "2", "--signs=" + "x" * 5000),
+                SIGNS + X20 + "... (5000 characters)",
+            ),
+        ],
+    )
+    def test_a_long_flag_is_written_as_its_start_and_length(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"knot": {"tb": "x" * 5000}},
+                'knot tb must be an integer, got "' + "x" * 19 + "... (5002 characters)",
+            ),
+            (
+                {"knot": {"rot": [0] * 2000}},
+                "knot rot must be an integer, got [0, 0, 0, 0, 0, 0, 0... (6000 characters)",
+            ),
+            ({"coefficient": "1/" + "0" * 4000}, ZERO + ZEROS + "... (4002 characters)"),
+            ({"coefficient": [1] * 2000}, RATIONAL + "[1, 1, 1, 1, 1, 1, 1... (6000 characters)"),
+            ({"signs": "x" * 5000}, SIGNS + X20 + "... (5000 characters)"),
+        ],
+    )
+    def test_a_long_input_field_is_written_as_its_start_and_length(
+        self, tmp_path, capsys, fields, message
+    ):
+        code, out, err = run_cli(capsys, "convert", "--input", diagram_file(tmp_path, **fields))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("expand", "x" * 20), RATIONAL + X20),
+            (("expand", "x" * 21), RATIONAL + X20 + "... (21 characters)"),
+            (("expand", "1/" + "0" * 18), ZERO + ZEROS),
+            (("expand", "1.5"), RATIONAL + "'1.5'"),
+            (DIAGRAM + ("--coeff", "2", "--signs=" + "+x" * 10), SIGNS + repr("+x" * 10)),
+        ],
+    )
+    def test_texts_up_to_20_characters_are_written_in_full(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"knot": {"tb": "-1"}}, 'knot tb must be an integer, got "-1"'),
+            ({"knot": {"rot": None}}, "knot rot must be an integer, got null"),
+            ({"knot": {"rot": [0] * 6}}, "knot rot must be an integer, got [0, 0, 0, 0, 0, 0]"),
+            ({"coefficient": 1.5}, RATIONAL + "1.5"),
+            ({"coefficient": None}, RATIONAL + "None"),
+        ],
+    )
+    def test_short_input_fields_are_written_in_full(self, tmp_path, capsys, fields, message):
+        code, out, err = run_cli(capsys, "convert", "--input", diagram_file(tmp_path, **fields))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestOneSolvePerClass:
     """``analyze`` solves once per Legendrian class and prints every branch.
 

@@ -23,6 +23,20 @@ def test_the_cli_imports_without_typing():
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
+def test_the_cli_imports_without_dataclasses_or_inspect():
+    # the value classes are written out by hand, so nothing on the CLI's
+    # import path needs ``dataclasses`` or the ``inspect`` it pulls in
+    child = subprocess.run(
+        [
+            sys.executable, "-S", "-c",
+            "import sys, contact_kirby.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in contact_kirby.__all__ if not hasattr(contact_kirby, name)]
     assert missing == []

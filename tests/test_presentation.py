@@ -1,7 +1,6 @@
 """Conversion into (+/-1)-chains, continued fractions, and linking data."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -349,7 +348,7 @@ class TestStructureChecks:
 
     def test_replacing_the_signs_rebuilds_the_components(self):
         pres = convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, -1])
-        both_plus = replace(pres, sign_choice=(1, 1))
+        both_plus = Presentation(pres.source_knot, pres.source_coefficient, (1, 1))
         assert both_plus == convert(LegendrianUnknot(-1, 0), Fraction(3, 2), [1, 1])
         assert both_plus.components[1].knot == LegendrianUnknot(-3, 2)
 
@@ -385,9 +384,10 @@ class TestStructureChecks:
             assert start == len(signs)
             flipped = mirror(pres)
             assert flipped.components == tuple(
-                replace(
-                    c,
-                    knot=LegendrianUnknot(c.knot.tb, -c.knot.rot),
+                Component(
+                    c.index,
+                    LegendrianUnknot(c.knot.tb, -c.knot.rot),
+                    c.contact_sign,
                     stabs_pos=c.stabs_neg,
                     stabs_neg=c.stabs_pos,
                 )
