@@ -6,6 +6,8 @@ unknots with exact linking-matrix algebra, and screens candidate
 diagrams for a contact Kirby move of type 1.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     GateRejectionError,
     InvalidExpansionError,
@@ -57,48 +59,9 @@ from .transform import (
 
 __version__ = "0.1.0"
 
+# the import block above is the export list: every public name it binds
+# (the submodules bound beside them excepted)
 __all__ = [
-    "BennequinVerdict",
-    "CFExpansion",
-    "CandidateDiagram",
-    "CandidateReport",
-    "Component",
-    "CONSISTENT_WITH_STANDARD_TIGHT",
-    "ExternalKnot",
-    "GateRejectionError",
-    "IntMatrix",
-    "InvalidExpansionError",
-    "InvalidInputError",
-    "InvalidLegendrianError",
-    "LegendrianUnknot",
-    "NonIntegralInvariantError",
-    "OVERTWISTED_CERTIFIED",
-    "PostSurgeryInvariants",
-    "Presentation",
-    "PresentationVerdict",
-    "RationalMatrix",
-    "SingularMatrixError",
-    "ZeroSurgeryError",
-    "apply",
-    "bennequin",
-    "classify",
-    "component_count",
-    "convert",
-    "det",
-    "emit_table",
-    "enumerate_presentations",
-    "evaluate_cf",
-    "expand_negative",
-    "framing_unknot_tb_shift",
-    "gate",
-    "inner",
-    "invariants_after_surgery",
-    "invariants_by_inverse",
-    "invert",
-    "kirby_topological_condition",
-    "linking_matrix",
-    "linking_vector",
-    "rot_vector",
-    "stabilization_budget",
-    "stabilize",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

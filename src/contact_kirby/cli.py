@@ -636,11 +636,19 @@ def _print_table_text(doc) -> None:
 # parser
 
 
+def _echoed(error: argparse.ArgumentError, text: str) -> argparse.ArgumentError:
+    """``error`` with the ``repr`` of the rejected ``text`` written by ``echo_text``."""
+    error.message = error.message.replace(repr(text), echo_text(text), 1)
+    return error
+
+
 class _Parser(argparse.ArgumentParser):
-    """Keeps ``--`` as the value of an option (``--signs=--``).
+    """Keeps ``--`` as the value of an option (``--signs=--``), and
+    echoes a rejected argument as every other message does.
 
     argparse (CPython 3.11 among others) drops that ``--`` and stores
-    ``[]``, which no command can read.
+    ``[]``, which no command can read.  Its own "invalid int value" and
+    "invalid choice" messages would write the argument in full.
     """
 
     def _get_values(self, action, arg_strings):
@@ -649,6 +657,18 @@ class _Parser(argparse.ArgumentParser):
             self._check_value(action, value)
             return value
         return super()._get_values(action, arg_strings)
+
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError as exc:
+            raise _echoed(exc, arg_string)
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise _echoed(exc, value)
 
 
 def _add_format(parser, default) -> None:

@@ -3,12 +3,15 @@
 Every quantity in this package is an integer or a reduced fraction; no
 floating point appears anywhere.  The scalar type is
 :class:`fractions.Fraction` (reduced numerator/denominator, positive
-denominator, zero stored as 0/1).
+denominator, zero stored as 0/1).  :class:`IntMatrix` and
+:class:`RationalMatrix` are immutable values on :class:`errors.Value`.
 
 Matrices are small and dense, so determinants and inverses use
 fraction-free (Bareiss) elimination: every intermediate value is an
 integer minor of the input, each division is exact, and Python's
-arbitrary-precision integers absorb the entry growth.  The cofactor
+arbitrary-precision integers absorb the entry growth.  That holds for
+integer entries only, so :func:`det` and :func:`invert` take an
+:class:`IntMatrix` and refuse any other matrix.  The cofactor
 expansion route is deliberately *not* implemented here; it lives in the
 test suite as an independent oracle.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import InvalidInputError, SingularMatrixError, Value
 
 
 def _as_int(value) -> int:
@@ -31,32 +34,27 @@ def _as_int(value) -> int:
     return value
 
 
-class _SquareMatrix:
+class _SquareMatrix(Value):
     """Immutable square matrix; a subclass sets how each entry is coerced.
 
-    Equality is type-strict: an IntMatrix never equals a RationalMatrix.
+    A value of one field, ``entries``, the rows as tuples.  Equality is
+    type-strict: an IntMatrix never equals a RationalMatrix.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = _fields = ("entries",)
 
-    def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
+    def __init__(self, entries: Sequence[Sequence[int | Fraction]]):
         coerce = self._coerce
-        entries = tuple(tuple(coerce(x) for x in row) for row in rows)
+        entries = tuple(tuple(coerce(x) for x in row) for row in entries)
         if not entries:
             raise InvalidInputError("matrix needs at least one row")
         if any(len(row) != len(entries) for row in entries):
             raise InvalidInputError("matrix must be square")
-        self.entries = entries
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({[list(row) for row in self.entries]})"
@@ -110,14 +108,26 @@ def _eliminate(a: list, n: int) -> int:
     return sign
 
 
+def _rows(matrix: IntMatrix, name: str) -> list:
+    """The rows of ``matrix`` as lists, which the elimination works on in place.
+
+    Bareiss divides with ``//``, exact on integer minors only, so any
+    matrix but an :class:`IntMatrix` (a :class:`RationalMatrix` too) is
+    refused rather than answered wrongly.
+    """
+    if not isinstance(matrix, IntMatrix):
+        raise InvalidInputError(f"{name} takes an IntMatrix, got {type(matrix).__name__}")
+    return [list(row) for row in matrix.entries]
+
+
 def det(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     The last pivot of the elimination is the determinant up to the sign
     of the row swaps.
     """
-    n = matrix.n
-    a = [list(row) for row in matrix.entries]
+    a = _rows(matrix, "det")
+    n = len(a)
     return _eliminate(a, n) * a[n - 1][n - 1]
 
 
@@ -129,12 +139,11 @@ def invert(matrix: IntMatrix) -> RationalMatrix:
     solution column over a single shared integer denominator (the product
     of the pivots consumed so far), so only the final entries are reduced.
     """
-    n = matrix.n
+    a = _rows(matrix, "invert")
+    n = len(a)
     width = 2 * n
-    a = [
-        list(row) + [1 if i == j else 0 for j in range(n)]
-        for i, row in enumerate(matrix.entries)
-    ]
+    for i, row in enumerate(a):
+        row.extend(1 if i == j else 0 for j in range(n))
     if _eliminate(a, n) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
 

@@ -846,6 +846,8 @@ class TestLongTextEchoes:
     ZERO = "zero denominator in "
     X20 = "'" + "x" * 20 + "'"
     ZEROS = "'1/" + "0" * 18 + "'"
+    INT = "invalid int value: "
+    CHOICE = "invalid choice: "
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -900,6 +902,38 @@ class TestLongTextEchoes:
     def test_texts_up_to_20_characters_are_written_in_full(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("convert", "--tb"), "contact-kirby convert: error: argument --tb: " + INT),
+            (("convert", "--rot"), "contact-kirby convert: error: argument --rot: " + INT),
+            (("analyze", "--lk"), "contact-kirby analyze: error: argument --lk: " + INT),
+            (("analyze", "--ext-tb"), "contact-kirby analyze: error: argument --ext-tb: " + INT),
+            (("analyze", "--ext-rot"), "contact-kirby analyze: error: argument --ext-rot: " + INT),
+            (("classify", "--m"), "contact-kirby classify: error: argument --m: " + INT),
+            (("classify", "--n"), "contact-kirby classify: error: argument --n: " + INT),
+            (("table", "--m-max"), "contact-kirby table: error: argument --m-max: " + INT),
+            (("expand", "--format"), "contact-kirby expand: error: argument --format: " + CHOICE),
+            (("table", "--format"), "contact-kirby table: error: argument --format: " + CHOICE),
+            ((), "contact-kirby: error: argument command: " + CHOICE),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "length, shown",
+        [(20, X20), (21, X20 + "... (21 characters)"), (5000, X20 + "... (5000 characters)")],
+    )
+    def test_an_argument_argparse_rejects_is_written_by_the_same_rule(
+        self, capsys, argv, message, length, shown
+    ):
+        code, out, err = run_cli(capsys, *argv, "x" * length)
+        last = err.splitlines()[-1]
+        expected = message + shown
+        assert (code, out) == (2, "")
+        # the choices that follow an "invalid choice" are spelled
+        # differently by different Python patch releases
+        assert last == expected or last.startswith(expected + " (choose from ")
+        assert len(last.encode()) < 200
 
     @pytest.mark.parametrize(
         "fields, message",

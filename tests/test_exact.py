@@ -32,7 +32,23 @@ def random_int_matrix(rng, n, bound=9):
     )
 
 
+# Bareiss divides with ``//``, so on the first two, elimination without
+# the type check answered det -1 (truly -5/6) and det 0 (truly 1/5)
+NOT_INT_MATRICES = [
+    RationalMatrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]),
+    RationalMatrix([[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]),
+    RationalMatrix([[2, 1], [1, 3]]),
+    ((1, 0), (0, 1)),
+]
+
+
 class TestDet:
+    @pytest.mark.parametrize("matrix", NOT_INT_MATRICES)
+    def test_refuses_anything_but_an_int_matrix(self, matrix):
+        with pytest.raises(InvalidInputError) as caught:
+            det(matrix)
+        assert str(caught.value) == f"det takes an IntMatrix, got {type(matrix).__name__}"
+
     def test_chain_matrix_m2(self):
         assert det(M2) == 1
         assert cofactor_det([list(r) for r in M2.entries]) == 1
@@ -55,6 +71,18 @@ class TestDet:
 
 
 class TestInvert:
+    @pytest.mark.parametrize("matrix", NOT_INT_MATRICES)
+    def test_refuses_anything_but_an_int_matrix(self, matrix):
+        with pytest.raises(InvalidInputError) as caught:
+            invert(matrix)
+        assert str(caught.value) == f"invert takes an IntMatrix, got {type(matrix).__name__}"
+
+    def test_inverse_of_an_inverse_needs_an_int_matrix(self):
+        inverse = invert(IntMatrix([[2, 1], [1, 3]]))
+        assert inverse == NOT_INT_MATRICES[1]
+        with pytest.raises(InvalidInputError, match="got RationalMatrix"):
+            det(inverse)
+
     def test_chain_matrix_m2(self):
         assert invert(M2) == RationalMatrix([[7, -2, -2], [-2, 0, 1], [-2, 1, 0]])
 

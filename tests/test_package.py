@@ -37,10 +37,27 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
+# the public names; ``__init__`` derives ``__all__`` from its imports, so
+# this pin catches a name exported, or dropped, by a changed import
+EXPORTS = """
+    BennequinVerdict CFExpansion CONSISTENT_WITH_STANDARD_TIGHT CandidateDiagram
+    CandidateReport Component ExternalKnot GateRejectionError IntMatrix
+    InvalidExpansionError InvalidInputError InvalidLegendrianError LegendrianUnknot
+    NonIntegralInvariantError OVERTWISTED_CERTIFIED PostSurgeryInvariants
+    Presentation PresentationVerdict RationalMatrix SingularMatrixError
+    ZeroSurgeryError apply bennequin classify component_count convert det emit_table
+    enumerate_presentations evaluate_cf expand_negative framing_unknot_tb_shift gate
+    inner invariants_after_surgery invariants_by_inverse invert
+    kirby_topological_condition linking_matrix linking_vector rot_vector
+    stabilization_budget stabilize
+""".split()
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in contact_kirby.__all__ if not hasattr(contact_kirby, name)]
     assert missing == []
     assert len(set(contact_kirby.__all__)) == len(contact_kirby.__all__)
+    assert sorted(contact_kirby.__all__) == EXPORTS
     namespace = {}
     exec("from contact_kirby import *", namespace)
     assert set(contact_kirby.__all__) <= namespace.keys()

@@ -1,8 +1,9 @@
-"""Value semantics of the package's ten immutable classes.
+"""Value semantics of the package's twelve immutable classes.
 
 Each one equals only an instance of its own class with equal fields,
 hashes by those fields, refuses assignment and deletion, prints as
-``Name(field=value, ...)`` and survives copy and pickle.
+``Name(field=value, ...)`` (a matrix as ``Name([[row], ...])``) and
+survives copy and pickle.
 """
 
 import copy
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from contact_kirby.exact import IntMatrix, RationalMatrix
 from contact_kirby.kirby import (
     CONSISTENT_WITH_STANDARD_TIGHT,
     OVERTWISTED_CERTIFIED,
@@ -73,6 +75,12 @@ CASES = [
         "verdicts=(PresentationVerdict(sign_choice=(), tb_new=None, rot_new=None, "
         "reason='why'),))",
     ),
+    (IntMatrix, {"entries": ((1, -2), (3, 4))}, "IntMatrix([[1, -2], [3, 4]])"),
+    (
+        RationalMatrix,
+        {"entries": ((1, -2), (3, 4))},
+        "RationalMatrix([[Fraction(1, 1), Fraction(-2, 1)], [Fraction(3, 1), Fraction(4, 1)]])",
+    ),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -105,6 +113,11 @@ def test_equality_is_type_strict(cls, fields, text):
     assert value != tuple(fields.values())
     assert value != SimpleNamespace(**fields)
     assert value != other and other != value
+    # a class of the same fields, as IntMatrix is to RationalMatrix
+    for twin_cls, twin_fields, _ in CASES:
+        if twin_cls is not cls and twin_fields.keys() == fields.keys():
+            twin = twin_cls(**fields)
+            assert value != twin and twin != value
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
