@@ -82,6 +82,8 @@ MAX_COMPONENTS = 128
 # table --m-max 1000 takes about 8 s, and the work grows as m_max^2;
 # classify --m 1000 takes a fraction of a second, linear in m
 MAX_M_MAX = 1000
+# --input reads at most this many characters: four 128 KiB flags fit
+MAX_INPUT_CHARS = 2 ** 20
 # the branch-cap message writes the branch count in decimal up to 2^64 only
 _SPELLED_BRANCH_BITS = 64
 
@@ -183,13 +185,6 @@ class Branch:
         self.signs = signs
 
 
-def _scalar(value) -> str:
-    text = _SCALARS.get(type(value))
-    if text is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return text(value)
-
-
 def _put_lines(value, indent, head, tail, lines, write) -> None:
     """Append the lines of ``value``: ``head`` opens its first, ``tail`` ends its last.
 
@@ -250,15 +245,14 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
         closing = "]" if separator == "\n" else f"\n{indent}]"
         lines.append(closing + tail)
     else:
-        lines.append(head + _scalar(value) + tail)
+        text = _SCALARS.get(type(value))
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        lines.append(head + text(value) + tail)
 
 
 # ---------------------------------------------------------------------------
 # document builders
-
-
-def _knot_doc(knot: LegendrianUnknot) -> dict:
-    return {"type": "unknot", "tb": knot.tb, "rot": knot.rot}
 
 
 def _component_doc(comp: Component) -> dict:
@@ -364,12 +358,13 @@ def _diagram_from_args(args):
             )
         try:
             with open(args.input, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+                text = handle.read(MAX_INPUT_CHARS + 1)
+            if len(text) > MAX_INPUT_CHARS:
+                raise ValueError(f"--input reads at most {MAX_INPUT_CHARS} characters")
+            raw = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInputError(f"invalid JSON in {args.input}: {exc}") from exc
-        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        except (OSError, ValueError) as exc:  # the bound, bad UTF-8, an integer too long to read
             raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("diagram document must be a JSON object")
@@ -398,7 +393,7 @@ def _diagram_from_args(args):
     knot = LegendrianUnknot(tb, rot)
     signs = None if signs_text is None else parse_signs(signs_text)
     echo = {
-        "knot": _knot_doc(knot),
+        "knot": {"type": "unknot", "tb": knot.tb, "rot": knot.rot},
         "coefficient": str(coefficient),
         "signs": signs_text,
     }
@@ -636,39 +631,46 @@ def _print_table_text(doc) -> None:
 # parser
 
 
-def _echoed(error: argparse.ArgumentError, text: str) -> argparse.ArgumentError:
-    """``error`` with the ``repr`` of the rejected ``text`` written by ``echo_text``."""
-    error.message = error.message.replace(repr(text), echo_text(text), 1)
-    return error
+class _Dashes(list):
+    """``["--"]`` as an option's value: argparse before 3.13 removes that ``--``."""
+
+    def remove(self, value):
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """Keeps ``--`` as the value of an option (``--signs=--``), and
-    echoes a rejected argument as every other message does.
+    """Keeps ``--`` as the value of an option (``--signs=--``), and writes
+    every argument an argparse message echoes as every other message does.
 
-    argparse (CPython 3.11 among others) drops that ``--`` and stores
-    ``[]``, which no command can read.  Its own "invalid int value" and
-    "invalid choice" messages would write the argument in full.
+    Each parser records the arguments it is given (a subparser, its slice).
+    :meth:`error`, which every argparse message goes through, writes each
+    of them, and the value argparse may split off one (after ``=``, or
+    after ``-h`` as in ``-h<text>``), by ``echo_text``: a ``repr`` as
+    ``echo_text(text)``, a raw text as ``echo_text(text, str)``.  Longest
+    first, so no text is rewritten inside a longer one.
     """
+
+    _given = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        texts = []
+        for text in self._given:
+            texts += (text, text.partition("=")[2])
+            if text[:1] == "-" != text[1:2]:  # -hh<text> is -h twice, then <text>
+                texts.append(text[1:].lstrip(text[1:2]))
+        for text in sorted(texts, key=len, reverse=True):
+            message = message.replace(repr(text), echo_text(text))
+            message = message.replace(text, echo_text(text, str))
+        super().error(message)
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
+            arg_strings = _Dashes(arg_strings)
         return super()._get_values(action, arg_strings)
-
-    def _get_value(self, action, arg_string):
-        try:
-            return super()._get_value(action, arg_string)
-        except argparse.ArgumentError as exc:
-            raise _echoed(exc, arg_string)
-
-    def _check_value(self, action, value):
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:
-            raise _echoed(exc, value)
 
 
 def _add_format(parser, default) -> None:
@@ -779,12 +781,9 @@ def main(argv=None) -> int:
         else:
             print_text(document)
         return 0
-    except InvalidInputError as exc:
+    except (InvalidInputError, SingularMatrixError, NonIntegralInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularMatrixError, NonIntegralInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InvalidInputError) else 3
 
 
 def entry() -> None:

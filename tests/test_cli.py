@@ -13,7 +13,13 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from contact_kirby.cli import canonical_json, main, parse_rational, parse_signs
+from contact_kirby.cli import (
+    MAX_INPUT_CHARS,
+    canonical_json,
+    main,
+    parse_rational,
+    parse_signs,
+)
 from contact_kirby.errors import (
     InvalidInputError,
     NonIntegralInvariantError,
@@ -698,6 +704,41 @@ class TestBounds:
             assert (code, out) == (2, "")
             assert "at most 5" in err
 
+    NESTED = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            NESTED,
+            '{"knot": {"type": "unknot", "tb": ' + NESTED + ', "rot": 0}, "coefficient": "2"}',
+            '{"knot": {"type": "unknot", "tb": -1, "rot": 0}, "coefficient": ' + NESTED + "}",
+        ],
+        ids=["array", "knot-tb", "coefficient"],
+    )
+    def test_a_deeply_nested_input_document_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "diagram.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = run_cli(capsys, "convert", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_input_is_read_up_to_its_bound(self, tmp_path, capsys):
+        # a document carrying four flags of 128 KiB (one argument's limit) fits
+        assert MAX_INPUT_CHARS == 2 ** 20 > 4 * 128 * 1024 + 100
+        document = '{"knot": {"type": "unknot", "tb": -1, "rot": 0}, "coefficient": "2", "pad": ""}'
+        # padded with two-byte characters: the bound counts characters
+        text = document[:-2] + "\u00e9" * (MAX_INPUT_CHARS - len(document)) + '"}'
+        path = tmp_path / "diagram.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "convert", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["input"]["coefficient"] == "2"
+        path.write_text(text + " ", encoding="utf-8")
+        code, out, err = run_cli(capsys, "convert", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: --input reads at most 1048576 characters\n"
+
 
 class TestLongEchoes:
     """A message writes an integer of more than 20 digits as its digit count."""
@@ -934,6 +975,76 @@ class TestLongTextEchoes:
         # differently by different Python patch releases
         assert last == expected or last.startswith(expected + " (choose from ")
         assert len(last.encode()) < 200
+
+    # a text of each length as echoed: its first 20 characters, then its length
+    LENGTHS = [(20, ""), (21, "... (21 characters)"), (5000, "... (5000 characters)")]
+    EXTRAS = "contact-kirby: error: unrecognized arguments: "
+    HELP = "argument -h/--help: ignored explicit argument "
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (DIAGRAM + ("--coeff", "2", ""), EXTRAS + "{}"),
+            (("expand", "-2", "--fo"), EXTRAS + "{}"),
+            (("table", "--m-max=1", "--m"), EXTRAS + "{}"),
+            (
+                ("analyze", "--ext="),
+                "contact-kirby analyze: error: ambiguous option: {} could match --ext-tb, --ext-rot",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("length, tail", LENGTHS)
+    def test_an_argument_argparse_echoes_raw_is_written_by_the_same_rule(
+        self, capsys, argv, message, length, tail
+    ):
+        # the last item of argv starts the argument, which x pads to length
+        text = argv[-1] + "x" * (length - len(argv[-1]))
+        code, out, err = run_cli(capsys, *argv[:-1], text)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == message.format(text[:20] + tail)
+        assert len(err.splitlines()[-1].encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("convert", "--help="), "contact-kirby convert: error: " + HELP),
+            (("--help=",), "contact-kirby: error: " + HELP),
+            (("convert", "--tb="), "contact-kirby convert: error: argument --tb: " + INT),
+        ],
+    )
+    @pytest.mark.parametrize("length, tail", LENGTHS)
+    def test_a_value_split_off_an_argument_is_written_by_the_same_rule(
+        self, capsys, argv, message, length, tail
+    ):
+        code, out, err = run_cli(capsys, *argv[:-1], argv[-1] + "x" * length)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == message + self.X20 + tail
+        assert len(err.splitlines()[-1].encode()) < 200
+
+    @pytest.mark.parametrize("option", ["-h", "-hh"])
+    @pytest.mark.parametrize("length, tail", LENGTHS)
+    def test_a_value_given_to_h_is_written_by_the_same_rule(
+        self, capsys, option, length, tail
+    ):
+        code, out, err = run_cli(capsys, "convert", option + "x" * length)
+        if code == 0:  # Python 3.13 reads -h<text> as -h and prints the help
+            assert out.startswith("usage: contact-kirby convert") and err == ""
+            return
+        last = err.splitlines()[-1]
+        assert (code, out) == (2, "")
+        assert last == "contact-kirby convert: error: " + self.HELP + self.X20 + tail
+        assert len(last.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "extras", [("x" * 5000, "x" * 5000 + "yy"), ("x" * 5000 + "yy", "x" * 5000)]
+    )
+    def test_long_extras_are_rewritten_longest_first(self, capsys, extras):
+        # the shorter extra begins the longer one: rewritten first, it would
+        # cut into the longer one's text
+        code, out, err = run_cli(capsys, *self.DIAGRAM, "--coeff", "2", *extras)
+        shown = " ".join(f"{'x' * 20}... ({len(text)} characters)" for text in extras)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == self.EXTRAS + shown
 
     @pytest.mark.parametrize(
         "fields, message",
