@@ -16,7 +16,8 @@ document.
 ``json.dumps(doc, indent=2, sort_keys=True)``, whose indenting encoder
 is pure Python.  It collects whole lines in one list and writes a row of
 plain ints with one ``join``.  ``convert`` and ``analyze`` stream their
-presentations to stdout, one string each.
+presentations one string each; :func:`main` hands either format to
+stdout in pieces (:class:`_Batched`).
 
 The branches of one surgery share their linking matrix, since a chain
 component's tb does not depend on the signs: each invocation builds it
@@ -24,8 +25,8 @@ once, and ``convert`` takes its dense det once.  The branches of one
 Legendrian class also share their components, and so every key of their
 documents but ``"signs"``.  Each class's document is one
 :class:`Fragment`, whose text is rendered once and then reused, and a
-:class:`Branch` writes it with its own signs spliced in.  ``analyze``
-runs one dense ``invert`` and one dense ``det`` per class, all before
+:class:`Branch` writes it with its own signs spliced in; each distinct
+component is one shared fragment too.  ``analyze`` runs one dense ``invert`` and one dense ``det`` per class, all before
 the first byte, so an exit 3 prints nothing.  Nothing is kept between
 invocations.
 
@@ -40,6 +41,7 @@ before anything is printed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -86,6 +88,8 @@ MAX_M_MAX = 1000
 MAX_INPUT_CHARS = 2 ** 20
 # the branch-cap message writes the branch count in decimal up to 2^64 only
 _SPELLED_BRANCH_BITS = 64
+# main hands stdout its text in pieces of this many characters
+_PIECE = io.DEFAULT_BUFFER_SIZE
 
 _INT_ONLY = frozenset((int,))
 # JSON text of the scalar types the documents hold, by exact type
@@ -144,6 +148,37 @@ def canonical_json(document, write=None) -> str:
         return text
     write(text)
     return ""
+
+
+class _Batched:
+    """A ``write`` that passes its text on in pieces of ``_PIECE`` characters.
+
+    Under ``python -u`` every ``sys.stdout.write`` is one write(2), which
+    per branch or per line costs more than the branch; :meth:`close`
+    passes on the rest.
+    """
+
+    __slots__ = ("_write", "_pending", "_size")
+
+    def __init__(self, write):
+        self._write = write
+        self._pending = []
+        self._size = 0
+
+    def __call__(self, text: str) -> None:
+        self._pending.append(text)
+        self._size += len(text)
+        if self._size >= _PIECE:
+            text = "".join(self._pending)
+            end = len(text) - len(text) % _PIECE
+            for start in range(0, end, _PIECE):
+                self._write(text[start:start + _PIECE])
+            self._pending = [text[end:]]
+            self._size = len(text) - end
+
+    def close(self) -> None:
+        if self._size:
+            self._write("".join(self._pending))
 
 
 class Fragment:
@@ -364,7 +399,9 @@ def _diagram_from_args(args):
             raw = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInputError(f"invalid JSON in {args.input}: {exc}") from exc
-        except (OSError, ValueError) as exc:  # the bound, bad UTF-8, an integer too long to read
+        except OSError as exc:  # its own text names the path again
+            raise InvalidInputError(f"cannot read {args.input}: {exc.strerror}") from exc
+        except ValueError as exc:  # the bound, bad UTF-8, an integer too long to read
             raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("diagram document must be a JSON object")
@@ -503,11 +540,11 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
     its signs, from the class's first branch.  Every class is built here,
     so one that raises prints nothing; the presentations are streamed.
     """
-    classes = {}
+    classes, parts = {}, {}
     for pres in presentations:
         if id(pres.components) not in classes:
             doc = class_doc(pres)
-            doc["components"] = [_component_doc(c) for c in pres.components]
+            doc["components"] = _component_docs(pres.components, parts)
             doc["signs"] = ""
             classes[id(pres.components)] = Fragment(doc)
     doc = {
@@ -519,11 +556,32 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
         ),
     }
 
-    def print_text(document) -> None:
+    def print_text(document, write) -> None:
+        bodies = {}  # a class's lines, printed under each of its branches' headings
+        total = len(presentations)
         for idx, branch in enumerate(document["presentations"]):
-            _print_presentation_text(idx, len(presentations), _unwrap(branch))
+            body = bodies.get(branch.shared)
+            if body is None:
+                body = bodies[branch.shared] = _presentation_body(branch.shared.value)
+            write(_presentation_heading(idx, total, branch.signs) + body)
 
     return doc, print_text
+
+
+def _component_docs(components, parts) -> list:
+    """The components' documents, one :class:`Fragment` per distinct component.
+
+    Within the one surgery ``parts`` serves, an index fixes a tb and a
+    stabilization count, so (index, rot, positive count) fixes the rest.
+    """
+    docs = []
+    for comp in components:
+        key = (comp.index, comp.knot.rot, comp.stabs_pos)
+        fragment = parts.get(key)
+        if fragment is None:
+            fragment = parts[key] = Fragment(_component_doc(comp))
+        docs.append(fragment)
+    return docs
 
 
 def _cmd_classify(args) -> tuple:
@@ -553,63 +611,66 @@ def _cmd_table(args) -> tuple:
 
 
 def _unwrap(value):
-    """The document a fragment or branch stands for; any other value as it is."""
-    if type(value) is Branch:
-        return dict(value.shared.value, signs=value.signs)
+    """The document a fragment stands for; any other value as it is."""
     return value.value if type(value) is Fragment else value
 
 
-def _print_expansion_text(doc) -> None:
-    print(str(doc["coefficients"]))
-    print(f"round-trip: {doc['round_trip']}")
+def _print_expansion_text(doc, write) -> None:
+    write(f"{doc['coefficients']}\nround-trip: {doc['round_trip']}\n")
 
 
-def _print_presentation_text(idx, total, doc) -> None:
-    """Print one presentation document, with its invariants if it has them."""
-    print(f"presentation {idx + 1} of {total} (signs: {doc['signs'] or '(none)'})")
-    for comp in doc["components"]:
+def _presentation_heading(idx, total, signs) -> str:
+    return f"presentation {idx + 1} of {total} (signs: {signs or '(none)'})\n"
+
+
+def _presentation_body(doc) -> str:
+    """A presentation document's lines under its heading, invariants included."""
+    lines = []
+    for comp in map(_unwrap, doc["components"]):
         parent = "-" if comp["parent"] is None else str(comp["parent"])
         stabs = comp["stabilizations"]
-        print(
+        lines.append(
             f"  component {comp['index']}: tb={comp['tb']} rot={comp['rot']} "
             f"contact={comp['contact_coeff']:+d} "
             f"topological={comp['topological_coeff']:+d} "
             f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}"
         )
     matrix = _unwrap(doc["linking_matrix"])
-    print("  linking matrix:")
+    lines.append("  linking matrix:")
     width = max(len(str(x)) for row in matrix for x in row)
     for row in matrix:
-        print("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    print(f"  determinant: {doc['determinant']}")
+        lines.append("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
+    lines.append(f"  determinant: {doc['determinant']}")
     invariants = doc.get("invariants")
     if invariants is not None:
         check = invariants["bennequin"]
         verdict = "satisfied" if check["satisfied"] else "violated"
-        print(
+        lines.append(
             f"  tb_new={invariants['tb_new']} rot_new={invariants['rot_new']} "
             f"bennequin {verdict} (slack {check['slack']})"
         )
+    lines.append("")
+    return "\n".join(lines)
 
 
-def _print_report_text(doc) -> None:
+def _print_report_text(doc, write) -> None:
     d = doc["diagram"]
-    print(f"diagram: m={d['m']} n={d['n']} rot={d['rot']} (collection {doc['collection']})")
+    write(f"diagram: m={d['m']} n={d['n']} rot={d['rot']} (collection {doc['collection']})\n")
     for verdict in doc["verdicts"]:
         if verdict["reason"] is not None:
-            print(f"  {verdict['reason']} -> {verdict['status']}")
+            write(f"  {verdict['reason']} -> {verdict['status']}\n")
             continue
         check = verdict["bennequin"]
         state = "satisfied" if check["satisfied"] else "violated"
         label, shown = _branch_text(verdict)
-        print(
+        write(
             f"  branch {label}: tb_new={verdict['tb_new']} rot_new={verdict['rot_new']} "
-            f"bennequin {state} (slack {check['slack']}) -> {shown}"
+            f"bennequin {state} (slack {check['slack']}) -> {shown}\n"
         )
-    print(f"summary: {doc['summary']}")
+    write(f"summary: {doc['summary']}\n")
 
 
-def _print_table_text(doc) -> None:
+def _print_table_text(doc, write) -> None:
     """One aligned row per report document, under a header row."""
     rows = [("m", "n", "collection", "branches", "survivor")]
     rows.extend(
@@ -624,7 +685,7 @@ def _print_table_text(doc) -> None:
     )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +836,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         document, print_text = args.func(args)
+        write = _Batched(sys.stdout.write)
         if args.format == "json":
-            canonical_json(document, sys.stdout.write)
-            print()
+            canonical_json(document, write)
+            write("\n")
         else:
-            print_text(document)
+            print_text(document, write)
+        write.close()
         return 0
     except (InvalidInputError, SingularMatrixError, NonIntegralInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,10 @@ component is built in one step from how many of its signs are positive.
 Those counts, one per chain entry, fix the branch's Legendrian class,
 so only prod(k_i + 1) of the 2^s branches are distinct links, k_i the
 stabilizations of entry i; the branches of one class share one tuple.
+:func:`enumerate_presentations` reads each branch's class off one
+product of per-entry counts and builds only the first branch of each
+class through :func:`convert`, so every other branch costs the same
+small constant, whatever its length.
 Every component is a push-off of the one before it, so its ``parent`` is
 derived from its index, never stored.  Linking numbers inside the
 resulting link follow the parallel-copy rule: a push-off taken along the
@@ -314,16 +318,42 @@ def enumerate_presentations(
     """All presentations of one surgery, in plus-first lexicographic sign order.
 
     The first entry is the all-plus branch; a coefficient with s
-    stabilizations yields exactly 2^s presentations.  Their class table
-    lives only as long as this call.
+    stabilizations yields exactly 2^s presentations.  In this order the
+    class keys are the product of each chain entry's positive counts over
+    its own signs, so no branch counts its signs.  The first branch of
+    each class goes through :func:`convert`; every later one is given the
+    class's components tuple as it is.  The class table lives only as
+    long as this call.
     """
     coefficient = _as_fraction(coefficient)
-    total = stabilization_budget(coefficient)
+    _, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
+    keys = itertools.product(*map(_positive_counts, counts))
     classes = {}
-    return [
-        convert(knot, coefficient, choice, classes)
-        for choice in itertools.product((1, -1), repeat=total)
-    ]
+    presentations = []
+    for choice, key in zip(itertools.product((1, -1), repeat=bounds[-1]), keys):
+        components = classes.get(key)
+        if components is None:
+            presentations.append(convert(knot, coefficient, choice, classes))
+            continue
+        pres = object.__new__(Presentation)
+        _set(pres, "source_knot", knot)
+        _set(pres, "source_coefficient", coefficient)
+        _set(pres, "sign_choice", choice)
+        _set(pres, "components", components)
+        presentations.append(pres)
+    return presentations
+
+
+@functools.lru_cache(maxsize=64)
+def _positive_counts(count: int) -> tuple:
+    """The positive signs of each of the 2^count sign vectors of one chain entry.
+
+    In plus-first order.  A tuple, which ``itertools.product`` keeps as it
+    is, where it would copy a list.  Cached, since a screen asks for the
+    same few counts again and again; under the CLI's 2^16 branch cap a
+    count is at most 16.
+    """
+    return tuple(map(countOf, itertools.product((1, -1), repeat=count), itertools.repeat(1)))
 
 
 def linking_matrix(presentation: Presentation) -> IntMatrix:

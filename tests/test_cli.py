@@ -1,5 +1,7 @@
 """CLI integration: documents, determinism, and the exit-code contract."""
 
+import errno
+import io
 import json
 import os
 import random
@@ -232,7 +234,18 @@ class TestConvert:
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "convert", "--input", "/nonexistent.json")
         assert code == 2
-        assert err
+        assert err == f"error: cannot read /nonexistent.json: {os.strerror(errno.ENOENT)}\n"
+
+    @pytest.mark.parametrize("depth", [1, 25])
+    def test_unreadable_input_names_its_path_once(self, tmp_path, capsys, depth):
+        # 25 levels of 200 characters pass PATH_MAX: open() fails before any lookup
+        path = str(tmp_path.joinpath(*["x" * 200] * depth))
+        code, out, err = run_cli(capsys, "convert", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count(path) == 1
+        assert err.count("\n") == 1
+        assert len(err) < len(path) + 60
 
 
 class TestAnalyze:
@@ -433,6 +446,15 @@ class TestContract:
         assert [p["signs"] for p in json.loads(separate[1])["presentations"]] == [signs]
 
     def test_closed_stdout_exits_zero_without_traceback(self):
+        self.assert_closed_stdout_exits_zero("json", b"{\n")
+
+    def test_closed_stdout_exits_zero_in_text_format(self):
+        self.assert_closed_stdout_exits_zero(
+            "table", b"presentation 1 of 2048 (signs: +++++++++++)\n"
+        )
+
+    @staticmethod
+    def assert_closed_stdout_exits_zero(fmt, first):
         # like `contact-kirby convert ... | head -1`; the output (2048
         # presentations) is far larger than a pipe buffer, so the child is
         # still writing when the reader closes its end
@@ -444,12 +466,12 @@ class TestContract:
         child = subprocess.Popen(
             [
                 sys.executable, "-c", "from contact_kirby.cli import entry; entry()",
-                "convert", "--tb", "-1", "--rot", "0", "--coeff", "-12",
+                "convert", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--format", fmt,
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         try:
-            assert child.stdout.readline() == b"{\n"
+            assert child.stdout.readline() == first
             child.stdout.close()
             _, err = child.communicate(timeout=60)
         finally:
@@ -487,6 +509,82 @@ class TestStreamedOutput:
             assert code == 3
             assert out == ""
             assert err
+
+
+class TestBatchedStdout:
+    """``main`` hands stdout its text in pieces of ``io.DEFAULT_BUFFER_SIZE``.
+
+    Under ``python -u`` each ``sys.stdout.write`` is one write(2), so the
+    number of calls, not only the bytes, is part of the contract.
+    """
+
+    # -82/125: four chain entries, 2^12 branches over 160 classes
+    DIAGRAM = ("--tb", "-2", "--rot", "1", "--coeff", "-82/125")
+
+    class Recorder:
+        def __init__(self):
+            self.pieces = []
+
+        def write(self, text):
+            self.pieces.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    def record(self, monkeypatch, argv):
+        recorder = self.Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(list(argv)) == 0
+        monkeypatch.undo()
+        return recorder.pieces
+
+    @staticmethod
+    def assert_batched(pieces):
+        text = "".join(pieces)
+        assert len(pieces) <= -(-len(text) // io.DEFAULT_BUFFER_SIZE) + 2
+        assert all(len(piece) == io.DEFAULT_BUFFER_SIZE for piece in pieces[:-1])
+        return text
+
+    # |p + q tb| = |-82 - 250| = 332, so lk 332 makes analyze integral
+    @pytest.mark.parametrize("command", [("convert",), ("analyze", "--lk", "332")])
+    def test_json_is_written_in_whole_pieces(self, monkeypatch, command):
+        from contact_kirby import cli
+
+        argv = (*command, *self.DIAGRAM)
+        text = self.assert_batched(self.record(monkeypatch, argv))
+        assert len(json.loads(text)["presentations"]) == 4096
+        args = cli.build_parser().parse_args(list(argv))
+        document, _ = args.func(args)
+        expected = []
+        canonical_json(document, expected.append)
+        assert text == "".join(expected) + "\n"
+
+    def test_text_is_written_in_whole_pieces(self, monkeypatch, capsys):
+        argv = ("convert", *self.DIAGRAM, "--format", "table")
+        text = self.assert_batched(self.record(monkeypatch, argv))
+        assert text.count("presentation ") == 4096
+        assert run_cli(capsys, *argv) == (0, text, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_small_documents_are_one_write(self, monkeypatch, fmt):
+        pieces = self.record(monkeypatch, ("expand", "-3/2", "--format", fmt))
+        assert len(pieces) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_one_component_document_per_distinct_component(self, monkeypatch, capsys, fmt):
+        from contact_kirby import cli
+
+        calls = []
+        original = cli._component_doc
+        monkeypatch.setattr(cli, "_component_doc", lambda c: calls.append(c) or original(c))
+        code, _, _ = run_cli(capsys, "convert", *self.DIAGRAM, "--format", fmt)
+        assert code == 0
+        knot = LegendrianUnknot(-2, 1)
+        branches = enumerate_presentations(knot, Fraction(-82, 125))
+        distinct = {c for pres in branches for c in pres.components}
+        assert len(calls) == len(set(calls)) == len(distinct)
+        assert set(calls) == distinct
 
 
 def rebuilt_presentation(pres, ext=None) -> dict:
@@ -574,9 +672,10 @@ class TestBranchSplice:
         code, out, err = run_cli(capsys, *argv, "--format", "table")
         assert (code, err) == (0, "")
         expected = self.expected(argv, lk)
-        for idx, doc in enumerate(expected):
-            cli._print_presentation_text(idx, len(expected), doc)
-        assert out == capsys.readouterr().out
+        assert out == "".join(
+            cli._presentation_heading(idx, len(expected), doc["signs"]) + cli._presentation_body(doc)
+            for idx, doc in enumerate(expected)
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_exit_3_prints_nothing(self, capsys, fmt):

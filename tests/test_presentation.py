@@ -1,5 +1,6 @@
 """Conversion into (+/-1)-chains, continued fractions, and linking data."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -536,3 +537,74 @@ class TestClassesShareComponents:
         shared = [convert(k, r, signs, classes) for signs in ((1, -1), (-1, 1))]
         assert shared == [Presentation(k, r, (1, -1)), Presentation(k, r, (-1, 1))]
         assert shared[0].components is shared[1].components
+
+
+def class_key(pres):
+    """How many signs of each chain entry are positive."""
+    return tuple(c.stabs_pos for c in pres.components if c.contact_sign == -1)
+
+
+# no chain (1/q), budget 0 with and without a chain entry, one entry, and
+# chains of several entries, some of them with no stabilizations
+ENUMERATED = [
+    (LegendrianUnknot(-1, 0), Fraction(1, 3)),
+    (LegendrianUnknot(-2, 1), Fraction(1)),
+    (LegendrianUnknot(-2, -1), Fraction(-1)),
+    (LegendrianUnknot(-3, 0), Fraction(-2)),
+    (LegendrianUnknot(-1, 0), Fraction(-9)),
+    (LegendrianUnknot(-2, 1), Fraction(-7, 3)),
+    (LegendrianUnknot(-4, 3), Fraction(-13, 5)),
+    (LegendrianUnknot(-2, 1), Fraction(-82, 125)),
+    (LegendrianUnknot(-1, 0), Fraction(31, 10)),
+]
+
+
+class TestEnumerationEqualsConversion:
+    """``enumerate_presentations`` is ``convert`` over every sign vector, in order."""
+
+    @staticmethod
+    def converted(knot, r):
+        budget = stabilization_budget(r)
+        return [convert(knot, r, s) for s in itertools.product((1, -1), repeat=budget)]
+
+    def assert_enumerated(self, knot, r):
+        branches = enumerate_presentations(knot, r)
+        expected = self.converted(knot, r)
+        assert branches == expected
+        assert [p.components for p in branches] == [p.components for p in expected]
+        by_class = {}
+        for pres in branches:
+            by_class.setdefault(class_key(pres), set()).add(id(pres.components))
+        assert all(len(ids) == 1 for ids in by_class.values())
+        assert len({id(p.components) for p in branches}) == len(by_class)
+
+    @pytest.mark.parametrize("knot, r", ENUMERATED)
+    def test_listed_surgeries(self, knot, r):
+        self.assert_enumerated(knot, r)
+
+    def test_seeded_surgeries(self):
+        rng = random.Random(5512)
+        for _ in range(60):
+            self.assert_enumerated(*random_small_surgery(rng))
+
+    @pytest.mark.parametrize("knot, r", ENUMERATED)
+    def test_convert_runs_once_per_class(self, monkeypatch, knot, r):
+        from contact_kirby import presentation
+
+        calls = []
+        original = presentation.convert
+        monkeypatch.setattr(
+            presentation, "convert", lambda *args: calls.append(args[2]) or original(*args)
+        )
+        branches = enumerate_presentations(knot, r)
+        _, residual = presentation._peel_plus(r)
+        counts = () if residual is None else expand_negative(residual).stabilization_counts
+        classes = 1
+        for count in counts:
+            classes *= count + 1
+        assert len(calls) == classes == len({class_key(p) for p in branches})
+        # each call is the first branch of its class
+        firsts = {}
+        for pres in branches:
+            firsts.setdefault(class_key(pres), pres.sign_choice)
+        assert calls == list(firsts.values())

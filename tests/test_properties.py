@@ -5,6 +5,7 @@ surgeries (tb -1..-6, |p| <= 30, q <= 8, budget <= 9) and the signs of
 one branch of each.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from contact_kirby.exact import det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
     convert,
+    enumerate_presentations,
     evaluate_cf,
     expand_negative,
     linking_matrix,
@@ -50,6 +52,22 @@ def branches(draw):
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=stabilization_budget(r),
                           max_size=stabilization_budget(r)))
     return knot, r, convert(knot, r, signs)
+
+
+@settings(deadline=None)
+@given(knots(), coefficients)
+def test_enumeration_is_convert_over_every_sign_vector(knot, r):
+    branches = enumerate_presentations(knot, r)
+    signs = itertools.product((1, -1), repeat=stabilization_budget(r))
+    expected = [convert(knot, r, s) for s in signs]
+    assert branches == expected
+    assert [p.components for p in branches] == [p.components for p in expected]
+    # one components tuple per class: per chain entry, its positive count
+    by_class = {}
+    for pres in branches:
+        key = tuple(c.stabs_pos for c in pres.components if c.contact_sign == -1)
+        by_class.setdefault(key, set()).add(id(pres.components))
+    assert all(len(ids) == 1 for ids in by_class.values())
 
 
 @given(st.integers(-200, -1), st.integers(1, 200))
