@@ -7,28 +7,27 @@ emitted document re-emits losslessly.  Exit codes: 0 on success, 2 on
 invalid input or gate rejection, 3 when exact arithmetic cannot deliver
 an answer (singular linking matrix, non-integral invariant).
 
-Every command builds one v1 document and returns it with its text
-printer; :func:`main` alone picks the format and writes either the
-document's canonical JSON or the text, which is printed from that same
-document.
-
-:func:`canonical_json` writes that text itself, byte-identical to
-``json.dumps(doc, indent=2, sort_keys=True)``, whose indenting encoder
-is pure Python.  It collects whole lines in one list and writes a row of
-plain ints with one ``join``.  ``convert`` and ``analyze`` stream their
-presentations one string each; :func:`main` hands either format to
-stdout in pieces (:class:`_Batched`).
+Every command builds one v1 document and returns it with its two
+printers, JSON and text, each called as ``printer(document, write)``;
+:func:`main` alone picks one, and hands what it writes to stdout in
+pieces (:class:`_Batched`).  Most documents print their JSON through
+:func:`canonical_json`, which is byte-identical to ``json.dumps(doc,
+indent=2, sort_keys=True)`` (whose indenting encoder is pure Python): it
+collects whole lines in one list and writes a row of plain ints with one
+``join``.
 
 The branches of one surgery share their linking matrix, since a chain
 component's tb does not depend on the signs: each invocation builds it
 once, and ``convert`` takes its dense det once.  The branches of one
 Legendrian class also share their components, and so every key of their
-documents but ``"signs"``.  Each class's document is one
-:class:`Fragment`, whose text is rendered once and then reused, and a
-:class:`Branch` writes it with its own signs spliced in; each distinct
-component is one shared fragment too.  ``analyze`` runs one dense ``invert`` and one dense ``det`` per class, all before
-the first byte, so an exit 3 prints nothing.  Nothing is kept between
-invocations.
+documents but ``"signs"``, which sorts last.  ``convert`` and ``analyze``
+therefore render each class once per format: in JSON, its document with
+``"signs": ""``, cut around that ``""``, and each branch is the two
+halves with its own signs between them; in text, its body, printed under
+each branch's heading.  Each distinct component is one shared
+:class:`Fragment`.  ``analyze`` runs one dense ``invert`` and one dense
+``det`` per class, all before the first byte, so an exit 3 prints
+nothing.  Nothing is kept between invocations.
 
 Both, and ``expand``, refuse a coefficient that converts into more than
 MAX_COMPONENTS components; without ``--signs`` both also refuse one with
@@ -46,7 +45,6 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -86,6 +84,9 @@ MAX_COMPONENTS = 128
 MAX_M_MAX = 1000
 # --input reads at most this many characters: four 128 KiB flags fit
 MAX_INPUT_CHARS = 2 ** 20
+# a message writes an --input path in full up to Linux's PATH_MAX, so every
+# path open() accepts shows whole, and a longer one as its start and length
+_ECHOED_PATH_CHARS = 4096
 # the branch-cap message writes the branch count in decimal up to 2^64 only
 _SPELLED_BRANCH_BITS = 64
 # main hands stdout its text in pieces of this many characters
@@ -131,23 +132,20 @@ def parse_signs(text: str) -> tuple:
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-def canonical_json(document, write=None) -> str:
+def canonical_json(document) -> str:
     """``json.dumps(document, indent=2, sort_keys=True)``, written directly.
 
-    Accepts dicts with ``str`` keys, lists, tuples, strings, ints, bools
-    and ``None``; anything else raises ``TypeError``.  Without ``write``
-    the text is returned.  With ``write``, an iterator value is emitted
-    as a JSON array whose items are built one at a time: the text before
-    each item, then each finished item, then the rest of the document go
-    to ``write`` as whole strings, and the empty string is returned.
+    Accepts dicts with ``str`` keys, lists, tuples, strings, ints, bools,
+    ``None`` and fragments (:class:`Fragment`) of those; anything else
+    raises ``TypeError``.
     """
     lines = []
-    _put_lines(document, "", "", "", lines, write)
-    text = "\n".join(lines)
-    if write is None:
-        return text
-    write(text)
-    return ""
+    _put_lines(document, "", "", "", lines)
+    return "\n".join(lines)
+
+
+def _print_json(document, write) -> None:
+    write(canonical_json(document) + "\n")
 
 
 class _Batched:
@@ -201,26 +199,12 @@ class Fragment:
         text = self._texts.get(indent)
         if text is None:
             lines = []
-            _put_lines(self.value, indent, "", "", lines, None)
+            _put_lines(self.value, indent, "", "", lines)
             text = self._texts[indent] = "\n".join(lines)
         return text
 
 
-class Branch:
-    """A presentation document: its Legendrian class's fragment, and its signs.
-
-    The class's document holds ``"signs": ""``, which sorts last, so its
-    text ends in ``""`` and the closing brace; a branch puts its signs there.
-    """
-
-    __slots__ = ("shared", "signs")
-
-    def __init__(self, shared: Fragment, signs: str):
-        self.shared = shared
-        self.signs = signs
-
-
-def _put_lines(value, indent, head, tail, lines, write) -> None:
+def _put_lines(value, indent, head, tail, lines) -> None:
     """Append the lines of ``value``: ``head`` opens its first, ``tail`` ends its last.
 
     Items are appended with a trailing comma, which the last one then loses.
@@ -228,9 +212,6 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
     """
     if type(value) is Fragment:
         lines.append(head + value.text(indent) + tail)
-    elif type(value) is Branch:
-        before, _, after = value.shared.text(indent).rpartition('""')
-        lines.append(head + before + _quote(value.signs) + after + tail)
     elif isinstance(value, dict):
         if not value:
             lines.append(head + "{}" + tail)
@@ -242,7 +223,7 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
             item_head = f"{inner}{_quote(key)}: "
             text = _SCALARS.get(type(item))
             if text is None:
-                _put_lines(item, inner, item_head, ",", lines, write)
+                _put_lines(item, inner, item_head, ",", lines)
             else:
                 lines.append(f"{item_head}{text(item)},")
         lines[-1] = lines[-1][:-1]
@@ -259,26 +240,11 @@ def _put_lines(value, indent, head, tail, lines, write) -> None:
             for item in value:
                 text = _SCALARS.get(type(item))
                 if text is None:
-                    _put_lines(item, inner, inner, ",", lines, write)
+                    _put_lines(item, inner, inner, ",", lines)
                 else:
                     lines.append(f"{inner}{text(item)},")
             lines[-1] = lines[-1][:-1]
         lines.append(indent + "]" + tail)
-    elif write is not None and isinstance(value, Iterator):
-        inner = indent + "  "
-        lines.append(head + "[")
-        write("\n".join(lines))
-        lines.clear()
-        separator = "\n"
-        for item in value:
-            item_lines = []
-            _put_lines(item, inner, inner, "", item_lines, None)
-            write(separator + "\n".join(item_lines))
-            separator = ",\n"
-        # the closing line opens a fresh chunk, so it carries its own line
-        # break, unless the stream was empty and "[" is closed right away
-        closing = "]" if separator == "\n" else f"\n{indent}]"
-        lines.append(closing + tail)
     else:
         text = _SCALARS.get(type(value))
         if text is None:
@@ -391,6 +357,7 @@ def _diagram_from_args(args):
             raise InvalidInputError(
                 "--input cannot be combined with --tb/--rot/--coeff/--signs"
             )
+        path = echo_text(args.input, str, _ECHOED_PATH_CHARS)
         try:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read(MAX_INPUT_CHARS + 1)
@@ -398,11 +365,11 @@ def _diagram_from_args(args):
                 raise ValueError(f"--input reads at most {MAX_INPUT_CHARS} characters")
             raw = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidInputError(f"invalid JSON in {args.input}: {exc}") from exc
+            raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
         except OSError as exc:  # its own text names the path again
-            raise InvalidInputError(f"cannot read {args.input}: {exc.strerror}") from exc
+            raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from exc
         except ValueError as exc:  # the bound, bad UTF-8, an integer too long to read
-            raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
+            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("diagram document must be a JSON object")
         knot_doc = raw.get("knot")
@@ -485,7 +452,7 @@ def _cmd_expand(args) -> tuple:
         "coefficients": coeffs,
         "round_trip": str(round_trip),
     }
-    return doc, _print_expansion_text
+    return doc, _print_json, _print_expansion_text
 
 
 def _cmd_convert(args) -> tuple:
@@ -533,12 +500,14 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
-    """The convert/analyze document and its text printer.
+    """The convert/analyze document and its two printers.
 
     The branches of one Legendrian class share one components tuple, and
     ``class_doc(pres)`` builds the rest of the class's document, but for
-    its signs, from the class's first branch.  Every class is built here,
-    so one that raises prints nothing; the presentations are streamed.
+    its signs (``""``), from the class's first branch.  Every class is
+    built here, so one that raises prints nothing.  The document holds
+    the branches themselves; each printer renders a class once, as JSON
+    halves or as a text body, and writes each of its branches from that.
     """
     classes, parts = {}, {}
     for pres in presentations:
@@ -546,26 +515,46 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
             doc = class_doc(pres)
             doc["components"] = _component_docs(pres.components, parts)
             doc["signs"] = ""
-            classes[id(pres.components)] = Fragment(doc)
+            classes[id(pres.components)] = doc
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": echo,
-        "presentations": (
-            Branch(classes[id(p.components)], p.signs_string) for p in presentations
-        ),
+        "presentations": presentations,
     }
 
-    def print_text(document, write) -> None:
-        bodies = {}  # a class's lines, printed under each of its branches' headings
-        total = len(presentations)
-        for idx, branch in enumerate(document["presentations"]):
-            body = bodies.get(branch.shared)
-            if body is None:
-                body = bodies[branch.shared] = _presentation_body(branch.shared.value)
-            write(_presentation_heading(idx, total, branch.signs) + body)
+    def branches(document, render):
+        """Each branch's signs, and its class's template, rendered once per class."""
+        templates = {}
+        for pres in document["presentations"]:
+            template = templates.get(id(pres.components))
+            if template is None:
+                template = templates[id(pres.components)] = render(classes[id(pres.components)])
+            yield pres.signs_string, template
 
-    return doc, print_text
+    def print_json(document, write) -> None:
+        # the document's text around its empty list holds the branches
+        head, _, tail = canonical_json(dict(document, presentations=[])).rpartition("[]")
+        separator = head + "[\n"
+        for signs, (before, after) in branches(document, _class_halves):
+            write(f"{separator}{before}{_quote(signs)}{after}")
+            separator = ",\n"
+        write(f"\n  ]{tail}\n")
+
+    def print_text(document, write) -> None:
+        total = len(document["presentations"])
+        for idx, (signs, body) in enumerate(branches(document, _presentation_body)):
+            write(_presentation_heading(idx, total, signs) + body)
+
+    return doc, print_json, print_text
+
+
+def _class_halves(doc) -> tuple:
+    """A class's document as a presentations item, cut around its signs' ``""``."""
+    lines = []
+    _put_lines(doc, "    ", "    ", "", lines)
+    before, _, after = "\n".join(lines).rpartition('""')
+    return before, after
 
 
 def _component_docs(components, parts) -> list:
@@ -589,7 +578,7 @@ def _cmd_classify(args) -> tuple:
         raise InvalidInputError(f"--m must be at most {MAX_M_MAX} (got {echo_int(args.m)})")
     doc = {"schema_version": SCHEMA_VERSION, "command": "classify"}
     doc.update(_report_doc(classify(gate(args.m, args.n, args.rot))))
-    return doc, _print_report_text
+    return doc, _print_json, _print_report_text
 
 
 def _cmd_table(args) -> tuple:
@@ -603,7 +592,7 @@ def _cmd_table(args) -> tuple:
         "m_max": args.m_max,
         "reports": [_report_doc(r) for r in emit_table(args.m_max)],
     }
-    return doc, _print_table_text
+    return doc, _print_json, _print_table_text
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +824,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        document, print_text = args.func(args)
+        document, print_json, print_text = args.func(args)
         write = _Batched(sys.stdout.write)
-        if args.format == "json":
-            canonical_json(document, write)
-            write("\n")
-        else:
-            print_text(document, write)
+        (print_json if args.format == "json" else print_text)(document, write)
         write.close()
         return 0
     except (InvalidInputError, SingularMatrixError, NonIntegralInvariantError) as exc:

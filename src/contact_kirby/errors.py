@@ -36,17 +36,17 @@ def echo_rational(value) -> str:
 _ECHOED_CHARS = 20
 
 
-def echo_text(text: str, show=repr) -> str:
-    """``show(text)`` as a message writes it: in full up to 20 characters.
+def echo_text(text: str, show=repr, limit=_ECHOED_CHARS) -> str:
+    """``show(text)`` as a message writes it: in full up to ``limit`` characters.
 
-    A longer text is written as ``show`` of its first 20 characters and
-    its length, as in ``'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)``,
+    A longer text is written as ``show`` of its first ``limit`` characters
+    and its length, as in ``'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)``,
     so an out-of-range input cannot make its message thousands of
     characters long.
     """
-    if len(text) <= _ECHOED_CHARS:
+    if len(text) <= limit:
         return show(text)
-    return f"{show(text[:_ECHOED_CHARS])}... ({len(text)} characters)"
+    return f"{show(text[:limit])}... ({len(text)} characters)"
 
 
 class Value:

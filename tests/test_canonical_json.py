@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_kirby.cli import Branch, Fragment, canonical_json
+from contact_kirby.cli import Fragment, canonical_json
 
 
 def reference(document) -> str:
@@ -42,34 +42,6 @@ def test_matches_json_dumps(document):
     assert canonical_json(document) == reference(document)
 
 
-@given(st.lists(documents, max_size=3), scalars)
-def test_streamed_iterator_matches_json_dumps(items, rest):
-    chunks = []
-    document = {"items": iter(items), "rest": rest}
-    assert canonical_json(document, chunks.append) == ""
-    assert "".join(chunks) == reference({"items": items, "rest": rest})
-
-
-def test_streaming_writes_one_chunk_per_item():
-    chunks = []
-    canonical_json({"a": 1, "b": iter([{"x": [1, 2]}, [3], "s"]), "c": None}, chunks.append)
-    # the opening text, each item, then the closing text
-    assert chunks == [
-        '{\n  "a": 1,\n  "b": [',
-        '\n    {\n      "x": [\n        1,\n        2\n      ]\n    }',
-        ",\n    [\n      3\n    ]",
-        ',\n    "s"',
-        '\n  ],\n  "c": null\n}',
-    ]
-    assert "".join(chunks) == reference({"a": 1, "b": [{"x": [1, 2]}, [3], "s"], "c": None})
-
-
-def test_empty_stream_is_an_empty_array():
-    chunks = []
-    canonical_json({"a": iter(())}, chunks.append)
-    assert "".join(chunks) == reference({"a": []})
-
-
 def unwrap(document):
     """The plain document a document with fragments stands for."""
     if isinstance(document, Fragment):
@@ -95,14 +67,6 @@ with_fragments = st.recursive(
 @given(with_fragments)
 def test_fragments_match_json_dumps_of_their_values(document):
     assert canonical_json(document) == reference(unwrap(document))
-
-
-@given(st.lists(with_fragments, max_size=3), with_fragments)
-def test_streamed_fragments_match_json_dumps(items, rest):
-    chunks = []
-    document = {"items": iter(items), "rest": rest}
-    assert canonical_json(document, chunks.append) == ""
-    assert "".join(chunks) == reference({"items": unwrap(items), "rest": unwrap(rest)})
 
 
 @given(documents)
@@ -131,20 +95,6 @@ def test_a_fragment_renders_once_per_indent(monkeypatch):
     assert [indent for v, indent in rendered if v is value] == ["  ", "    "]
 
 
-# every key of a class document sorts before "signs"
-class_documents = st.dictionaries(strings.filter(lambda key: key < "signs"), with_fragments)
-
-
-@given(st.lists(st.tuples(class_documents, st.text("+-")), max_size=3), with_fragments)
-def test_a_branch_is_its_class_document_with_its_signs(branches, rest):
-    chunks = []
-    items = [Branch(Fragment(dict(doc, signs="")), signs) for doc, signs in branches]
-    document = {"items": iter(items), "rest": rest}
-    assert canonical_json(document, chunks.append) == ""
-    expected = [dict(unwrap(doc), signs=signs) for doc, signs in branches]
-    assert "".join(chunks) == reference({"items": expected, "rest": unwrap(rest)})
-
-
 @pytest.mark.parametrize(
     "document",
     [
@@ -155,7 +105,7 @@ def test_a_branch_is_its_class_document_with_its_signs(branches, rest):
         {1: "int key"},
         {(1, 2): "tuple key"},
         {"a": {None: 1}},
-        {"a": iter([1])},  # an iterator is an array only when streaming
+        {"a": iter([1])},
         object(),
     ],
 )
@@ -170,4 +120,4 @@ def test_rejects_what_the_cli_never_emits(document):
 )
 def test_a_fragment_holds_only_what_the_writer_accepts(document):
     with pytest.raises(TypeError):
-        canonical_json(document, [].append)
+        canonical_json(document)

@@ -1,5 +1,6 @@
 """CLI integration: documents, determinism, and the exit-code contract."""
 
+import contextlib
 import errno
 import io
 import json
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_kirby.cli import (
     MAX_INPUT_CHARS,
@@ -238,14 +242,30 @@ class TestConvert:
 
     @pytest.mark.parametrize("depth", [1, 25])
     def test_unreadable_input_names_its_path_once(self, tmp_path, capsys, depth):
-        # 25 levels of 200 characters pass PATH_MAX: open() fails before any lookup
+        # 25 levels of 200 characters pass PATH_MAX: open() fails before any
+        # lookup, and the message writes the first 4096 characters and the length
         path = str(tmp_path.joinpath(*["x" * 200] * depth))
+        shown = path if depth == 1 else f"{path[:4096]}... ({len(path)} characters)"
         code, out, err = run_cli(capsys, "convert", "--input", path)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read {path}: ")
-        assert err.count(path) == 1
+        assert err.startswith(f"error: cannot read {shown}: ")
+        assert err.count(path[:4096]) == 1
         assert err.count("\n") == 1
-        assert len(err) < len(path) + 60
+        assert len(err) < len(shown) + 60
+
+    @pytest.mark.parametrize("length", [4096, 4097, 5000])
+    def test_invalid_json_in_a_long_path(self, monkeypatch, capsys, length):
+        from contact_kirby import cli
+
+        # open() refuses a path past PATH_MAX, so the file is a stand-in
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: io.StringIO("{"), raising=False)
+        path = "/" + "x" * (length - 1)
+        shown = path if length <= 4096 else f"{path[:4096]}... ({length} characters)"
+        code, out, err = run_cli(capsys, "convert", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {shown}: ")
+        assert err.count("x" * 4095) == 1
+        assert err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -518,7 +538,7 @@ class TestBatchedStdout:
     number of calls, not only the bytes, is part of the contract.
     """
 
-    # -82/125: four chain entries, 2^12 branches over 160 classes
+    # -82/125: four chain entries, 2^12 branches over 60 classes
     DIAGRAM = ("--tb", "-2", "--rot", "1", "--coeff", "-82/125")
 
     class Recorder:
@@ -555,10 +575,10 @@ class TestBatchedStdout:
         text = self.assert_batched(self.record(monkeypatch, argv))
         assert len(json.loads(text)["presentations"]) == 4096
         args = cli.build_parser().parse_args(list(argv))
-        document, _ = args.func(args)
+        document, print_json, _ = args.func(args)
         expected = []
-        canonical_json(document, expected.append)
-        assert text == "".join(expected) + "\n"
+        print_json(document, expected.append)
+        assert text == "".join(expected) == canonical_json(json.loads(text)) + "\n"
 
     def test_text_is_written_in_whole_pieces(self, monkeypatch, capsys):
         argv = ("convert", *self.DIAGRAM, "--format", "table")
@@ -684,6 +704,88 @@ class TestBranchSplice:
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
+
+
+@st.composite
+def surgeries(draw):
+    """argv of ``convert``, or ``analyze`` at an integral lk, on a generated surgery.
+
+    Returns the argv and the v1 document rebuilt from the library alone.
+    """
+    tb = draw(st.integers(-5, -1))
+    rot = tb + 1 + 2 * draw(st.integers(0, -tb - 1))
+    r = draw(
+        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 8)).filter(
+            lambda r: stabilization_budget(r) <= 6 and r.numerator + r.denominator * tb
+        )
+    )
+    budget = stabilization_budget(r)
+    signs = draw(st.none() | st.text("+-", min_size=budget, max_size=budget))
+    knot = LegendrianUnknot(tb, rot)
+    argv = ["--tb", str(tb), "--rot", str(rot), "--coeff", str(r)]
+    echo = {"knot": {"type": "unknot", "tb": tb, "rot": rot}, "coefficient": str(r), "signs": signs}
+    if signs is not None:
+        argv.append(f"--signs={signs}")
+    ext = None
+    if draw(st.booleans()):
+        # lk a multiple of |det| = |p + q tb| makes both invariants integral
+        lk = draw(st.integers(-3, 3)) * abs(r.numerator + r.denominator * tb)
+        ext = ExternalKnot(LegendrianUnknot(-1, 0), lk)
+        argv += ["--lk", str(lk)]
+        echo["external"] = {"tb": -1, "rot": 0, "lk": lk}
+    branches = (
+        enumerate_presentations(knot, r) if signs is None else [convert(knot, r, parse_signs(signs))]
+    )
+    command = "convert" if ext is None else "analyze"
+    document = {
+        "schema_version": 1,
+        "command": command,
+        "input": echo,
+        "presentations": [rebuilt_presentation(pres, ext) for pres in branches],
+    }
+    return [command] + argv, document
+
+
+class TestPresentationsWriter:
+    """``convert`` and ``analyze`` write each class once, then each branch from it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(surgeries())
+    def test_json_equals_the_generic_writer_on_the_rebuilt_document(self, surgery):
+        argv, document = surgery
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue() == canonical_json(document) + "\n"
+
+    @pytest.mark.parametrize("command", [("convert",), ("analyze", "--lk", "332")])
+    def test_each_class_is_rendered_once_per_format(self, monkeypatch, capsys, command):
+        from contact_kirby import cli
+
+        rendered, bodies, documents = [], [], []
+        put_lines, body, to_json = cli._put_lines, cli._presentation_body, cli.canonical_json
+
+        def put_class_lines(value, *rest):
+            if isinstance(value, dict) and "components" in value:
+                rendered.append(value)
+            return put_lines(value, *rest)
+
+        monkeypatch.setattr(cli, "_put_lines", put_class_lines)
+        monkeypatch.setattr(cli, "_presentation_body", lambda doc: bodies.append(doc) or body(doc))
+        monkeypatch.setattr(cli, "canonical_json", lambda doc: documents.append(doc) or to_json(doc))
+        branches = enumerate_presentations(LegendrianUnknot(-2, 1), Fraction(-82, 125))
+        classes = len({id(pres.components) for pres in branches})
+        assert classes == 60
+        argv = (*command, *TestBatchedStdout.DIAGRAM)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(rendered) == len({id(doc) for doc in rendered}) == classes
+        assert (len(documents), bodies) == (1, [])
+        rendered.clear()
+        documents.clear()
+        assert run_cli(capsys, *argv, "--format", "table")[0] == 0
+        assert len(bodies) == len({id(doc) for doc in bodies}) == classes
+        assert (rendered, documents) == ([], [])
 
 
 class TestBounds:
