@@ -12,9 +12,8 @@ printers, JSON and text, each called as ``printer(document, write)``;
 :func:`main` alone picks one, and hands what it writes to stdout in
 pieces (:class:`_Batched`).  Most documents print their JSON through
 :func:`canonical_json`, which is byte-identical to ``json.dumps(doc,
-indent=2, sort_keys=True)`` (whose indenting encoder is pure Python): it
-collects whole lines in one list and writes a row of plain ints with one
-``join``.
+indent=2, sort_keys=True)`` (whose indenting encoder is pure Python):
+one recursive function, ``_dump``, returns the text of each value.
 
 The branches of one surgery share their linking matrix, since a chain
 component's tb does not depend on the signs: each invocation builds it
@@ -92,7 +91,6 @@ _SPELLED_BRANCH_BITS = 64
 # main hands stdout its text in pieces of this many characters
 _PIECE = io.DEFAULT_BUFFER_SIZE
 
-_INT_ONLY = frozenset((int,))
 # JSON text of the scalar types the documents hold, by exact type
 _SCALARS = {
     int: int.__repr__,
@@ -139,9 +137,7 @@ def canonical_json(document) -> str:
     ``None`` and fragments (:class:`Fragment`) of those; anything else
     raises ``TypeError``.
     """
-    lines = []
-    _put_lines(document, "", "", "", lines)
-    return "\n".join(lines)
+    return _dump(document, "")
 
 
 def _print_json(document, write) -> None:
@@ -195,61 +191,40 @@ class Fragment:
         self._texts = {}
 
     def text(self, indent: str) -> str:
-        """The fragment's lines at ``indent``, joined, without head or tail."""
+        """``_dump(self.value, indent)``, rendered on its first call at ``indent``."""
         text = self._texts.get(indent)
         if text is None:
-            lines = []
-            _put_lines(self.value, indent, "", "", lines)
-            text = self._texts[indent] = "\n".join(lines)
+            text = self._texts[indent] = _dump(self.value, indent)
         return text
 
 
-def _put_lines(value, indent, head, tail, lines) -> None:
-    """Append the lines of ``value``: ``head`` opens its first, ``tail`` ends its last.
+def _dump(value, indent: str) -> str:
+    """The JSON text of ``value`` as it stands at ``indent``.
 
-    Items are appended with a trailing comma, which the last one then loses.
-    A fragment is appended as one multi-line string.
+    Its first line starts where its key or list position leaves it, so it
+    carries no indent of its own; every later line carries ``indent`` and
+    its nesting.
     """
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        return text(value)
     if type(value) is Fragment:
-        lines.append(head + value.text(indent) + tail)
-    elif isinstance(value, dict):
+        return value.text(indent)
+    inner = indent + "  "
+    if isinstance(value, dict):
         if not value:
-            lines.append(head + "{}" + tail)
-            return
-        inner = indent + "  "
-        lines.append(head + "{")
-        for key, item in sorted(value.items()):
-            # _quote raises TypeError for a key that is not a str
-            item_head = f"{inner}{_quote(key)}: "
-            text = _SCALARS.get(type(item))
-            if text is None:
-                _put_lines(item, inner, item_head, ",", lines)
-            else:
-                lines.append(f"{item_head}{text(item)},")
-        lines[-1] = lines[-1][:-1]
-        lines.append(indent + "}" + tail)
+            return "{}"
+        # _quote raises TypeError for a key that is not a str
+        items = [f"{_quote(key)}: {_dump(item, inner)}" for key, item in sorted(value.items())]
+        opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
         if not value:
-            lines.append(head + "[]" + tail)
-            return
-        inner = indent + "  "
-        lines.append(head + "[")
-        if _INT_ONLY.issuperset(map(type, value)):
-            lines.append(inner + f",\n{inner}".join(map(int.__repr__, value)))
-        else:
-            for item in value:
-                text = _SCALARS.get(type(item))
-                if text is None:
-                    _put_lines(item, inner, inner, ",", lines)
-                else:
-                    lines.append(f"{inner}{text(item)},")
-            lines[-1] = lines[-1][:-1]
-        lines.append(indent + "]" + tail)
+            return "[]"
+        items = [_dump(item, inner) for item in value]
+        opening, closing = "[", "]"
     else:
-        text = _SCALARS.get(type(value))
-        if text is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        lines.append(head + text(value) + tail)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +481,9 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
     ``class_doc(pres)`` builds the rest of the class's document, but for
     its signs (``""``), from the class's first branch.  Every class is
     built here, so one that raises prints nothing.  The document holds
-    the branches themselves; each printer renders a class once, as JSON
-    halves or as a text body, and writes each of its branches from that.
+    the branches themselves; each printer renders every class once, as
+    JSON halves or as a text body, before its first write, and then
+    writes each branch from its class's rendering.
     """
     classes, parts = {}, {}
     for pres in presentations:
@@ -523,37 +499,30 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
         "presentations": presentations,
     }
 
-    def branches(document, render):
-        """Each branch's signs, and its class's template, rendered once per class."""
-        templates = {}
-        for pres in document["presentations"]:
-            template = templates.get(id(pres.components))
-            if template is None:
-                template = templates[id(pres.components)] = render(classes[id(pres.components)])
-            yield pres.signs_string, template
-
     def print_json(document, write) -> None:
+        halves = {key: _class_halves(template) for key, template in classes.items()}
         # the document's text around its empty list holds the branches
         head, _, tail = canonical_json(dict(document, presentations=[])).rpartition("[]")
         separator = head + "[\n"
-        for signs, (before, after) in branches(document, _class_halves):
-            write(f"{separator}{before}{_quote(signs)}{after}")
+        for pres in document["presentations"]:
+            before, after = halves[id(pres.components)]
+            write(f"{separator}{before}{_quote(pres.signs_string)}{after}")
             separator = ",\n"
         write(f"\n  ]{tail}\n")
 
     def print_text(document, write) -> None:
+        bodies = {key: _presentation_body(template) for key, template in classes.items()}
         total = len(document["presentations"])
-        for idx, (signs, body) in enumerate(branches(document, _presentation_body)):
-            write(_presentation_heading(idx, total, signs) + body)
+        for idx, pres in enumerate(document["presentations"]):
+            heading = _presentation_heading(idx, total, pres.signs_string)
+            write(heading + bodies[id(pres.components)])
 
     return doc, print_json, print_text
 
 
 def _class_halves(doc) -> tuple:
     """A class's document as a presentations item, cut around its signs' ``""``."""
-    lines = []
-    _put_lines(doc, "    ", "    ", "", lines)
-    before, _, after = "\n".join(lines).rpartition('""')
+    before, _, after = ("    " + _dump(doc, "    ")).rpartition('""')
     return before, after
 
 

@@ -42,6 +42,12 @@ _set = object.__setattr__
 
 
 def _gate_check(m: int, n: int, rot: int) -> None:
+    # exact types: n=True would print as true, and 3.0 equals 3 but is not m
+    if type(m) is not int or type(n) is not int:
+        raise GateRejectionError(
+            "m, n integers",
+            f"m and n must be integers (got types {type(m).__name__} and {type(n).__name__})",
+        )
     if m < 1:
         raise GateRejectionError("m >= 1", f"tb = -m requires m >= 1 (got m={echo_int(m)})")
     if n < 0:
@@ -151,7 +157,7 @@ def gate(m: int, n: int, rot: int | None = None) -> CandidateDiagram:
     mirror diagram is covered by the rot-negation symmetry rather than
     listed separately.
     """
-    if rot is None:
+    if rot is None and type(m) is int:  # any other m fails the gate's first check
         rot = -(m - 1)
     return CandidateDiagram(m, n, rot)
 

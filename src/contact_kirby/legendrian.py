@@ -25,7 +25,8 @@ def _check_invariants(tb: int, rot: int) -> None:
     # exact types: a bool or a float equal to an integer is not one
     if type(tb) is not int or type(rot) is not int:
         raise InvalidLegendrianError(
-            f"tb and rot must be integers (got tb={tb!r}, rot={rot!r})"
+            f"tb and rot must be integers (got types {type(tb).__name__} "
+            f"and {type(rot).__name__})"
         )
     if tb > -1:
         raise InvalidLegendrianError(
@@ -62,6 +63,11 @@ class ExternalKnot(Value):
     __slots__ = _fields = ("knot", "lk_with_original")
 
     def __init__(self, knot: LegendrianUnknot, lk_with_original: int):
+        # exact type, as for tb and rot: a bool or a float is not a linking number
+        if type(lk_with_original) is not int:
+            raise InvalidInputError(
+                f"lk must be an integer (got type {type(lk_with_original).__name__})"
+            )
         _set(self, "knot", knot)
         _set(self, "lk_with_original", lk_with_original)
 

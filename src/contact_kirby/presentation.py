@@ -69,7 +69,7 @@ class CFExpansion(Value):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
-        coeffs = tuple(coeffs)
+        coeffs = _int_entries(coeffs)
         if not coeffs:
             raise InvalidExpansionError("expansion needs at least one coefficient")
         if any(c > -2 for c in coeffs):
@@ -176,6 +176,17 @@ def _components(knot, plus, counts, positives, classes) -> tuple:
     return tuple(components)
 
 
+def _int_entries(coeffs) -> tuple:
+    """The entries of an expansion as a tuple, each checked to be exactly an ``int``."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if type(c) is not int:
+            raise InvalidExpansionError(
+                f"expansion coefficients must be integers (got type {type(c).__name__})"
+            )
+    return coeffs
+
+
 def signs_string(sign_choice: Sequence[int]) -> str:
     """Stabilization signs as text: ``+`` for +1, ``-`` for -1."""
     return "".join(map(_SIGN_TEXT.__getitem__, sign_choice))
@@ -183,6 +194,7 @@ def signs_string(sign_choice: Sequence[int]) -> str:
 
 def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
     """Evaluate ``[c1, ..., cn] = c1 - 1/(c2 - 1/(... - 1/cn))`` exactly."""
+    coeffs = _int_entries(coeffs)
     if not coeffs:
         raise InvalidExpansionError("cannot evaluate an empty expansion")
     value = Fraction(coeffs[-1])
@@ -203,7 +215,7 @@ def expand_negative(r: Coefficient) -> CFExpansion:
     shifting the leading coefficient down by one then accounts for the
     surgery convention above and makes every coefficient at most -2.
     """
-    r = Fraction(r)
+    r = _as_fraction(r)
     if r >= 0:
         raise InvalidInputError(
             f"only negative coefficients expand (got {echo_rational(r)})"
@@ -229,12 +241,18 @@ def _floor_expansion(x: Fraction):
 
 
 def _as_fraction(coefficient: Coefficient) -> Fraction:
+    """``coefficient`` as a ``Fraction``; it must be exactly an ``int`` or a ``Fraction``.
+
+    A float, a string or a bool is refused, although ``Fraction`` would
+    take each: 0.1 is not 1/10, and a bool is not a coefficient.
+    """
     if type(coefficient) is Fraction:
         return coefficient
-    try:
-        return Fraction(coefficient)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"not an exact rational: {coefficient!r}") from exc
+    if type(coefficient) is not int:
+        raise InvalidInputError(
+            f"a coefficient must be an int or a Fraction (got type {type(coefficient).__name__})"
+        )
+    return Fraction(coefficient)
 
 
 def _peel_plus(coefficient: Fraction) -> tuple:

@@ -7,9 +7,10 @@ Run from the root of a checkout when the CLI's output is meant to change:
 For each invocation, run in-process through ``cli.main``, ``digests.json``
 records the exit code and the sha256 of stdout and of stderr.  A change
 that alters output on purpose re-pins and lists every changed key.  The
-grid leaves out ``--help``, argparse's own errors and ``--input`` files,
-whose text depends on the Python version or on a temporary path; its
-``--input`` cases name fixed paths that do not exist.
+grid leaves out ``--help`` and argparse's own errors, whose text depends
+on the Python version.  Its ``--input`` cases read the documents in
+``inputs/``, keyed by file name, none of whose outcomes writes the path,
+or name fixed paths that do not exist.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
+INPUTS = Path(__file__).with_name("inputs")
 
 KNOTS = [(-1, 0), (-2, 1), (-2, -1), (-3, 0), (-3, 2), (-4, -3), (-5, 2)]
 COEFFICIENTS = [
@@ -29,6 +31,8 @@ COEFFICIENTS = [
     "3/2", "-3/2", "1/3", "5/3", "-7/3", "7/3", "11/4", "-9/4", "-13/5", "31/10",
 ]
 LKS = ["-3", "-1", "0", "1", "4"]
+# external unknots other than the default (tb -1, rot 0); the last is not one
+EXTERNAL = [("-2", "1"), ("-3", "-2"), ("-4", "1"), ("-2", "0")]
 SIGNS = ["", "+", "-", "+-", "-+", "--+"]
 # 2^16 branches, 2^39 (refused), 128 components and 129 (refused)
 CAPS = ["-17", "-40", "1/128", "1/129"]
@@ -58,7 +62,13 @@ def invocations() -> list:
                 diagram = knot + ["--coeff", coefficient, f"--signs={signs}"]
                 grid.append(["convert"] + diagram)
                 grid.append(["analyze"] + diagram + ["--lk", "1"])
-    for m in range(8):
+    for tb, rot in KNOTS[:3]:
+        for coefficient in ("-1", "1/2", "3", "-7/3"):
+            diagram = ["--tb", str(tb), "--rot", str(rot), "--coeff", coefficient]
+            for ext_tb, ext_rot in EXTERNAL:
+                external = ["--ext-tb", ext_tb, "--ext-rot", ext_rot]
+                grid.extend(["analyze"] + diagram + ["--lk", lk] + external for lk in ("1", "3"))
+    for m in range(14):
         for n in range(m - 3, m + 4):
             grid.append(["classify", "--m", str(m), "--n", str(n)])
             grid.extend(
@@ -72,12 +82,23 @@ def invocations() -> list:
         grid.append(["convert", "--tb", "-1", "--rot", "0", "--coeff", coefficient])
         grid.append(["expand", coefficient])
     grid.extend(["convert", "--input", path] for path in INPUT_PATHS)
+    for path in sorted(map(str, INPUTS.glob("*.json"))):
+        grid.append(["convert", "--input", path])
+        grid.append(["analyze", "--input", path, "--lk", "1"])
     return [argv + ["--format", fmt] for argv in grid for fmt in ("json", "table")]
 
 
 def key(argv) -> str:
-    """The invocation as one line, each argument over 64 characters by its length."""
-    return " ".join(a if len(a) <= 64 else f"<{len(a)} characters>" for a in argv)
+    """The invocation as one line, the same in every checkout.
+
+    A document of ``inputs/`` is written by its file name, any other
+    argument over 64 characters by its length.
+    """
+    return " ".join(
+        "inputs/" + Path(a).name if Path(a).parent == INPUTS
+        else a if len(a) <= 64 else f"<{len(a)} characters>"
+        for a in argv
+    )
 
 
 def outcome(main, argv) -> list:

@@ -84,10 +84,9 @@ def test_a_fragment_renders_once_per_indent(monkeypatch):
     from contact_kirby import cli
 
     rendered = []
-    put_lines = cli._put_lines
+    dump = cli._dump
     monkeypatch.setattr(
-        cli, "_put_lines",
-        lambda value, indent, *rest: rendered.append((value, indent)) or put_lines(value, indent, *rest),
+        cli, "_dump", lambda value, indent: rendered.append((value, indent)) or dump(value, indent)
     )
     value = {"x": [1, 2]}
     fragment = Fragment(value)

@@ -764,14 +764,14 @@ class TestPresentationsWriter:
         from contact_kirby import cli
 
         rendered, bodies, documents = [], [], []
-        put_lines, body, to_json = cli._put_lines, cli._presentation_body, cli.canonical_json
+        dump, body, to_json = cli._dump, cli._presentation_body, cli.canonical_json
 
-        def put_class_lines(value, *rest):
+        def dump_class(value, indent):
             if isinstance(value, dict) and "components" in value:
                 rendered.append(value)
-            return put_lines(value, *rest)
+            return dump(value, indent)
 
-        monkeypatch.setattr(cli, "_put_lines", put_class_lines)
+        monkeypatch.setattr(cli, "_dump", dump_class)
         monkeypatch.setattr(cli, "_presentation_body", lambda doc: bodies.append(doc) or body(doc))
         monkeypatch.setattr(cli, "canonical_json", lambda doc: documents.append(doc) or to_json(doc))
         branches = enumerate_presentations(LegendrianUnknot(-2, 1), Fraction(-82, 125))

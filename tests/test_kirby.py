@@ -53,14 +53,26 @@ class TestGate:
             gate(3, 4, 5)
         assert info.value.condition == "valid unknot"
 
+    @pytest.mark.parametrize(
+        "m, n", [(2, True), (2, 3.0), (2.0, 3), (True, 2), ("2", 3), (2, None), (2, "x" * 10 ** 5)]
+    )
+    def test_m_and_n_must_be_ints(self, m, n):
+        # the first four equal an admitted (m, n); the long string is not repeated
+        for args in ((m, n), (m, n, -1)):
+            with pytest.raises(GateRejectionError) as info:
+                gate(*args)
+            assert info.value.condition == "m, n integers"
+            assert str(info.value).endswith(f"(got types {type(m).__name__} and {type(n).__name__})")
+            assert len(str(info.value)) < 100
+
     def test_distinct_conditions(self):
         conditions = set()
-        for args in ((0, 1, 0), (1, -1, 0), (3, 3, -2), (3, 4, 5)):
+        for args in ((0, 1, 0), (1, -1, 0), (3, 3, -2), (3, 4, 5), (2, 3.0, -1)):
             try:
                 gate(*args)
             except GateRejectionError as err:
                 conditions.add(err.condition)
-        assert len(conditions) == 4
+        assert len(conditions) == 5
 
 
 class TestClassify:

@@ -121,3 +121,8 @@ class TestMirrorAndExternal:
         ext = ExternalKnot(LegendrianUnknot(-1, 0), -1)
         assert ext.knot.tb == -1
         assert ext.lk_with_original == -1
+
+    @pytest.mark.parametrize("lk", [1.5, 1.0, True, "1", None])
+    def test_external_knot_takes_only_an_int_lk(self, lk):
+        with pytest.raises(InvalidInputError, match=rf"\(got type {type(lk).__name__}\)"):
+            ExternalKnot(LegendrianUnknot(-1, 0), lk)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,44 @@ class TestStructureChecks:
             for p in (pres, mirror(pres)):
                 for c in p.components:
                     assert c.parent == (c.index - 1 if c.index else None)
+
+
+STANDARD = LegendrianUnknot(-1, 0)
+# each but None equals or parses to a coefficient, but is not an int or a
+# Fraction; the long string's message must not repeat it
+NOT_EXACT = [0.1, -1.5, -0.3, "  -3/2", "-" + "9" * 10 ** 5, True, Decimal("-1.5"), None]
+
+
+class TestExactInput:
+    """A coefficient is exactly an int or a Fraction, an expansion entry exactly an int."""
+
+    @pytest.mark.parametrize("coefficient", NOT_EXACT)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            stabilization_budget,
+            expand_negative,
+            lambda r: component_count(r, 8),
+            lambda r: convert(STANDARD, r),
+            # -0.3 used to run out of memory on a budget of 900719925474100
+            lambda r: enumerate_presentations(STANDARD, r),
+            lambda r: Presentation(STANDARD, r, ()),
+        ],
+    )
+    def test_a_coefficient_of_another_type_is_refused(self, entry, coefficient):
+        with pytest.raises(InvalidInputError) as info:
+            entry(coefficient)
+        message = str(info.value)
+        assert f"(got type {type(coefficient).__name__})" in message
+        assert len(message) < 100
+
+    @pytest.mark.parametrize(
+        "coeffs", [(-2.5,), (-2, -3.0), (-2, True), (Fraction(-3),), ("-2",), (-2, Decimal(-3))]
+    )
+    @pytest.mark.parametrize("entry", [CFExpansion, evaluate_cf])
+    def test_an_expansion_entry_of_another_type_is_refused(self, entry, coeffs):
+        with pytest.raises(InvalidExpansionError, match=r"must be integers \(got type "):
+            entry(coeffs)
 
 
 def stepped_plus_count(r: Fraction):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_kirby.errors import NonIntegralInvariantError, SingularMatrixError
@@ -124,3 +124,37 @@ def test_continuant_solve_equals_dense_solve_and_oracle(branch, ext_knot, lk):
     expected = oracle_outcome(pres, ext)
     assert outcome(invariants_after_surgery, pres, ext) == expected
     assert outcome(invariants_by_inverse, pres, ext) == expected
+
+
+STANDARD = LegendrianUnknot(-1, 0)
+
+
+@settings(deadline=None)
+@given(branches(), knots(), st.integers(-40, 40))
+# p + q tb = 0; then tb_new integral but rot_new not (on -8 surgery, |det| 9)
+@example((STANDARD, Fraction(1), convert(STANDARD, Fraction(1))), STANDARD, 1)
+@example((STANDARD, Fraction(-8), convert(STANDARD, Fraction(-8), (1,) * 7)), STANDARD, -3)
+def test_tb_new_is_the_closed_form(branch, ext_knot, lk):
+    """tb_new = t0 - lk^2 q / (p + q tb) on every branch of p/q-surgery on a knot of tb.
+
+    |p + q tb| is the order of the homology, and the branch (its signs and
+    hence its rotation numbers) does not enter tb_new at all.
+    """
+    knot, r, pres = branch
+    ext = ExternalKnot(ext_knot, lk)
+    order = r.numerator + r.denominator * knot.tb
+    for solve in (invariants_after_surgery, invariants_by_inverse):
+        if order == 0:
+            with pytest.raises(SingularMatrixError):
+                solve(pres, ext)
+            continue
+        closed_form = ext_knot.tb - Fraction(lk * lk * r.denominator, order)
+        if closed_form.denominator != 1:
+            with pytest.raises(NonIntegralInvariantError, match="Thurston-Bennequin") as info:
+                solve(pres, ext)
+            assert info.value.value == closed_form
+            continue
+        try:
+            assert solve(pres, ext).tb_new == closed_form
+        except NonIntegralInvariantError as exc:
+            assert "rotation number" in str(exc)
