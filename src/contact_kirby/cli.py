@@ -15,22 +15,16 @@ pieces (:class:`_Batched`).  Most documents print their JSON through
 indent=2, sort_keys=True)`` (whose indenting encoder is pure Python):
 one recursive function, ``_dump``, returns the text of each value.
 
-The branches of one surgery share their linking matrix, since a chain
-component's tb does not depend on the signs: each invocation builds it
-once, and ``convert`` takes its dense det once.  The branches of one
-Legendrian class also share their components, and so every key of their
-documents but ``"signs"``, which sorts last.  ``convert`` and ``analyze``
-therefore render each class once per format: in JSON, its document with
-``"signs": ""``, cut around that ``""``, and each branch is the two
-halves with its own signs between them; in text, its body, printed under
-each branch's heading.  Each distinct component is one shared
-:class:`Fragment`.  ``analyze`` runs one dense ``invert`` and one dense
-``det`` per class, all before the first byte, so an exit 3 prints
-nothing.  Nothing is kept between invocations.
+``convert`` and ``analyze`` live in :mod:`contact_kirby._presentations`,
+with the text printers of their documents; their handlers import it when
+they run, and only its ``--input`` reader imports ``json``.  So
+``expand``, ``classify`` and ``table`` compile and import only what they
+run.  Nothing is kept between invocations.
 
-Both, and ``expand``, refuse a coefficient that converts into more than
-MAX_COMPONENTS components; without ``--signs`` both also refuse one with
-more than 2^MAX_BRANCH_BITS stabilization branches.  ``table`` refuses an
+``expand``, ``convert`` and ``analyze`` refuse a coefficient that
+converts into more than MAX_COMPONENTS components; without ``--signs``
+the latter two also refuse one with more than 2^MAX_BRANCH_BITS
+stabilization branches.  ``table`` refuses an
 ``--m-max`` and ``classify`` an ``--m`` above MAX_M_MAX.  An integer
 too long for Python to write (``sys.get_int_max_str_digits()``) exits 2
 before anything is printed.
@@ -40,12 +34,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidInputError,
@@ -55,21 +47,13 @@ from .errors import (
     echo_rational,
     echo_text,
 )
-from .exact import det
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
-from .legendrian import ExternalKnot, LegendrianUnknot
-from .presentation import (
-    Component,
-    Presentation,
-    component_count,
-    convert,
-    enumerate_presentations,
-    evaluate_cf,
-    expand_negative,
-    linking_matrix,
-    stabilization_budget,
-)
-from .transform import bennequin, invariants_by_inverse
+from .presentation import component_count, evaluate_cf, expand_negative
+
+try:  # the C encoder that json.dumps uses, without importing json
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without it
+    from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = 1
 
@@ -83,11 +67,6 @@ MAX_COMPONENTS = 128
 MAX_M_MAX = 1000
 # --input reads at most this many characters: four 128 KiB flags fit
 MAX_INPUT_CHARS = 2 ** 20
-# a message writes an --input path in full up to Linux's PATH_MAX, so every
-# path open() accepts shows whole, and a longer one as its start and length
-_ECHOED_PATH_CHARS = 4096
-# the branch-cap message writes the branch count in decimal up to 2^64 only
-_SPELLED_BRANCH_BITS = 64
 # main hands stdout its text in pieces of this many characters
 _PIECE = io.DEFAULT_BUFFER_SIZE
 
@@ -231,18 +210,6 @@ def _dump(value, indent: str) -> str:
 # document builders
 
 
-def _component_doc(comp: Component) -> dict:
-    return {
-        "index": comp.index,
-        "tb": comp.knot.tb,
-        "rot": comp.knot.rot,
-        "contact_coeff": comp.contact_sign,
-        "topological_coeff": comp.topological_coefficient,
-        "parent": comp.parent,
-        "stabilizations": {"plus": comp.stabs_pos, "minus": comp.stabs_neg},
-    }
-
-
 def _check_printable(values) -> None:
     """Refuse an integer that ``int.__repr__`` would not write out.
 
@@ -262,20 +229,6 @@ def _check_printable(values) -> None:
                 f"an output integer has more than {limit} digits, Python's "
                 f"limit for writing integers (sys.get_int_max_str_digits())"
             )
-
-
-def _shared_matrix(pres: Presentation) -> tuple:
-    """The linking matrix all branches of ``pres``'s surgery share, and its rows.
-
-    Both are checked printable before anything is written.  Every
-    component's |rot| is below its |tb| (the Bennequin inequality), so
-    checking the tbs checks the rots as well.
-    """
-    matrix = linking_matrix(pres)
-    _check_printable(
-        [c.knot.tb for c in pres.components] + [x for row in matrix.entries for x in row]
-    )
-    return matrix, Fragment([list(row) for row in matrix.entries])
 
 
 def _bennequin_doc(check) -> dict:
@@ -320,65 +273,6 @@ def _verdict_label(verdict: dict) -> str:
     return f"{label}: {status}"
 
 
-# ---------------------------------------------------------------------------
-# input handling
-
-
-def _diagram_from_args(args):
-    """Resolve the (knot, coefficient, signs, echo) quadruple for convert/analyze."""
-    flag_inputs = [args.tb, args.rot, args.coeff, args.signs]
-    if args.input is not None:
-        if any(v is not None for v in flag_inputs):
-            raise InvalidInputError(
-                "--input cannot be combined with --tb/--rot/--coeff/--signs"
-            )
-        path = echo_text(args.input, str, _ECHOED_PATH_CHARS)
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                text = handle.read(MAX_INPUT_CHARS + 1)
-            if len(text) > MAX_INPUT_CHARS:
-                raise ValueError(f"--input reads at most {MAX_INPUT_CHARS} characters")
-            raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
-        except OSError as exc:  # its own text names the path again
-            raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from exc
-        except ValueError as exc:  # the bound, bad UTF-8, an integer too long to read
-            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InvalidInputError("diagram document must be a JSON object")
-        knot_doc = raw.get("knot")
-        if not isinstance(knot_doc, dict) or knot_doc.get("type") != "unknot":
-            raise InvalidInputError('diagram document needs knot {"type": "unknot", ...}')
-        tb, rot = knot_doc.get("tb"), knot_doc.get("rot")
-        for field, value in (("tb", tb), ("rot", rot)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidInputError(
-                    f"knot {field} must be an integer, got {echo_text(json.dumps(value), str)}"
-                )
-        coefficient = parse_rational(raw.get("coefficient"))
-        signs_text = raw.get("signs")
-        if signs_text is not None and not isinstance(signs_text, str):
-            raise InvalidInputError("signs must be a string over '+' and '-'")
-    else:
-        if args.tb is None or args.rot is None or args.coeff is None:
-            raise InvalidInputError(
-                "either --input or all of --tb/--rot/--coeff are required"
-            )
-        tb, rot = args.tb, args.rot
-        coefficient = parse_rational(args.coeff)
-        signs_text = args.signs
-
-    knot = LegendrianUnknot(tb, rot)
-    signs = None if signs_text is None else parse_signs(signs_text)
-    echo = {
-        "knot": {"type": "unknot", "tb": knot.tb, "rot": knot.rot},
-        "coefficient": str(coefficient),
-        "signs": signs_text,
-    }
-    return knot, coefficient, signs, echo
-
-
 def _check_components(coefficient) -> None:
     """Refuse a coefficient that converts into more than MAX_COMPONENTS components.
 
@@ -389,24 +283,6 @@ def _check_components(coefficient) -> None:
             f"coefficient {echo_rational(coefficient)} converts into more than "
             f"{MAX_COMPONENTS} components; at most {MAX_COMPONENTS} are supported"
         )
-
-
-def _presentations(knot, coefficient, signs):
-    _check_components(coefficient)
-    if signs is None:
-        budget = stabilization_budget(coefficient)
-        if budget > MAX_BRANCH_BITS:
-            if budget <= _SPELLED_BRANCH_BITS:
-                count = str(2 ** budget)
-            else:
-                count = f"over {2 ** _SPELLED_BRANCH_BITS}"
-            raise InvalidInputError(
-                f"coefficient {echo_rational(coefficient)} has {count} stabilization "
-                f"branches (2^{echo_int(budget)}); without --signs at most "
-                f"{2 ** MAX_BRANCH_BITS} (2^{MAX_BRANCH_BITS}) are listed"
-            )
-        return enumerate_presentations(knot, coefficient)
-    return [convert(knot, coefficient, signs)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,115 +307,15 @@ def _cmd_expand(args) -> tuple:
 
 
 def _cmd_convert(args) -> tuple:
-    knot, coefficient, signs, echo = _diagram_from_args(args)
-    presentations = _presentations(knot, coefficient, signs)
-    matrix, rows = _shared_matrix(presentations[0])
-    determinant = det(matrix)
-    _check_printable((determinant,))
-    return _presentations_doc(
-        "convert", echo, presentations,
-        lambda pres: {"linking_matrix": rows, "determinant": determinant},
-    )
+    from . import _presentations
+
+    return _presentations.cmd_convert(args)
 
 
 def _cmd_analyze(args) -> tuple:
-    knot, coefficient, signs, echo = _diagram_from_args(args)
-    ext = ExternalKnot(LegendrianUnknot(args.ext_tb, args.ext_rot), args.lk)
-    echo["external"] = {
-        "tb": ext.knot.tb,
-        "rot": ext.knot.rot,
-        "lk": ext.lk_with_original,
-    }
-    presentations = _presentations(knot, coefficient, signs)
-    matrix, rows = _shared_matrix(presentations[0])
+    from . import _presentations
 
-    # Branches share M and L and differ only in their rotation numbers, so
-    # the first branch of each Legendrian class solves for all of it.
-    def class_doc(pres) -> dict:
-        invariants = invariants_by_inverse(pres, ext)
-        check = bennequin(invariants.tb_new, invariants.rot_new)
-        # one dense invert and det per class: the benchmark's own test pins them
-        determinant = det(matrix)
-        _check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
-        return {
-            "linking_matrix": rows,
-            "determinant": determinant,
-            "invariants": {
-                "tb_new": invariants.tb_new,
-                "rot_new": invariants.rot_new,
-                "bennequin": _bennequin_doc(check),
-            },
-        }
-
-    return _presentations_doc("analyze", echo, presentations, class_doc)
-
-
-def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
-    """The convert/analyze document and its two printers.
-
-    The branches of one Legendrian class share one components tuple, and
-    ``class_doc(pres)`` builds the rest of the class's document, but for
-    its signs (``""``), from the class's first branch.  Every class is
-    built here, so one that raises prints nothing.  The document holds
-    the branches themselves; each printer renders every class once, as
-    JSON halves or as a text body, before its first write, and then
-    writes each branch from its class's rendering.
-    """
-    classes, parts = {}, {}
-    for pres in presentations:
-        if id(pres.components) not in classes:
-            doc = class_doc(pres)
-            doc["components"] = _component_docs(pres.components, parts)
-            doc["signs"] = ""
-            classes[id(pres.components)] = doc
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": echo,
-        "presentations": presentations,
-    }
-
-    def print_json(document, write) -> None:
-        halves = {key: _class_halves(template) for key, template in classes.items()}
-        # the document's text around its empty list holds the branches
-        head, _, tail = canonical_json(dict(document, presentations=[])).rpartition("[]")
-        separator = head + "[\n"
-        for pres in document["presentations"]:
-            before, after = halves[id(pres.components)]
-            write(f"{separator}{before}{_quote(pres.signs_string)}{after}")
-            separator = ",\n"
-        write(f"\n  ]{tail}\n")
-
-    def print_text(document, write) -> None:
-        bodies = {key: _presentation_body(template) for key, template in classes.items()}
-        total = len(document["presentations"])
-        for idx, pres in enumerate(document["presentations"]):
-            heading = _presentation_heading(idx, total, pres.signs_string)
-            write(heading + bodies[id(pres.components)])
-
-    return doc, print_json, print_text
-
-
-def _class_halves(doc) -> tuple:
-    """A class's document as a presentations item, cut around its signs' ``""``."""
-    before, _, after = ("    " + _dump(doc, "    ")).rpartition('""')
-    return before, after
-
-
-def _component_docs(components, parts) -> list:
-    """The components' documents, one :class:`Fragment` per distinct component.
-
-    Within the one surgery ``parts`` serves, an index fixes a tb and a
-    stabilization count, so (index, rot, positive count) fixes the rest.
-    """
-    docs = []
-    for comp in components:
-        key = (comp.index, comp.knot.rot, comp.stabs_pos)
-        fragment = parts.get(key)
-        if fragment is None:
-            fragment = parts[key] = Fragment(_component_doc(comp))
-        docs.append(fragment)
-    return docs
+    return _presentations.cmd_analyze(args)
 
 
 def _cmd_classify(args) -> tuple:
@@ -568,47 +344,8 @@ def _cmd_table(args) -> tuple:
 # text rendering of the documents
 
 
-def _unwrap(value):
-    """The document a fragment stands for; any other value as it is."""
-    return value.value if type(value) is Fragment else value
-
-
 def _print_expansion_text(doc, write) -> None:
     write(f"{doc['coefficients']}\nround-trip: {doc['round_trip']}\n")
-
-
-def _presentation_heading(idx, total, signs) -> str:
-    return f"presentation {idx + 1} of {total} (signs: {signs or '(none)'})\n"
-
-
-def _presentation_body(doc) -> str:
-    """A presentation document's lines under its heading, invariants included."""
-    lines = []
-    for comp in map(_unwrap, doc["components"]):
-        parent = "-" if comp["parent"] is None else str(comp["parent"])
-        stabs = comp["stabilizations"]
-        lines.append(
-            f"  component {comp['index']}: tb={comp['tb']} rot={comp['rot']} "
-            f"contact={comp['contact_coeff']:+d} "
-            f"topological={comp['topological_coeff']:+d} "
-            f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}"
-        )
-    matrix = _unwrap(doc["linking_matrix"])
-    lines.append("  linking matrix:")
-    width = max(len(str(x)) for row in matrix for x in row)
-    for row in matrix:
-        lines.append("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    lines.append(f"  determinant: {doc['determinant']}")
-    invariants = doc.get("invariants")
-    if invariants is not None:
-        check = invariants["bennequin"]
-        verdict = "satisfied" if check["satisfied"] else "violated"
-        lines.append(
-            f"  tb_new={invariants['tb_new']} rot_new={invariants['rot_new']} "
-            f"bennequin {verdict} (slack {check['slack']})"
-        )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def _print_report_text(doc, write) -> None:

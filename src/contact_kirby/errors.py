@@ -49,6 +49,21 @@ def echo_text(text: str, show=repr, limit=_ECHOED_CHARS) -> str:
     return f"{show(text[:limit])}... ({len(text)} characters)"
 
 
+def echo_value(value) -> str:
+    """``str(value)`` as a message writes it, by :func:`echo_int` or :func:`echo_text`."""
+    return echo_int(value) if type(value) is int else echo_text(str(value), str)
+
+
+def echo_list(values) -> str:
+    """``str(list(values))`` as a message writes it, by :func:`echo_text`.
+
+    Each ``int`` is written by :func:`echo_int`, anything else by its
+    ``repr``, as in a list's own text; so a short list reads as its text.
+    """
+    shown = (echo_int(v) if type(v) is int else repr(v) for v in values)
+    return echo_text(f"[{', '.join(shown)}]", str)
+
+
 class Value:
     """An immutable value whose equality, hash and repr come from ``_fields``.
 

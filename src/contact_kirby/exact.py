@@ -25,12 +25,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import InvalidInputError, SingularMatrixError, Value
+from .errors import InvalidInputError, SingularMatrixError, Value, echo_text
 
 
 def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"matrix entries must be integers, got {value!r}")
+        raise InvalidInputError(
+            f"matrix entries must be integers, got {echo_text(repr(value), str)}"
+        )
     return value
 
 

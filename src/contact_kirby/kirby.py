@@ -165,12 +165,13 @@ def gate(m: int, n: int, rot: int | None = None) -> CandidateDiagram:
 def classify(diagram: CandidateDiagram) -> CandidateReport:
     """Run the full screening of one gated candidate.
 
-    Every stabilization branch of the (+/-1)-conversion is converted and
-    measured from scratch: the topological framing unknot (tb -1, rot 0,
-    linking number equal to the framing branch sign) bounds a disk after
-    surgery, so a Bennequin violation certifies an overtwisted result,
-    while a satisfied check leaves the branch consistent with the
-    standard tight 3-sphere.
+    Every stabilization branch of the (+/-1)-conversion is measured: the
+    branches share one surgery, whose continuant solve runs once, and each
+    then costs one integer dot product, with no components built.  The
+    topological framing unknot (tb -1, rot 0, linking number equal to the
+    framing branch sign) bounds a disk after surgery, so a Bennequin
+    violation certifies an overtwisted result, while a satisfied check
+    leaves the branch consistent with the standard tight 3-sphere.
     """
     if diagram.n == 0:
         verdicts = (

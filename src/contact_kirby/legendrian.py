@@ -16,7 +16,7 @@ n - m, which :func:`kirby_topological_condition` tests for +/-1.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, InvalidLegendrianError, Value, echo_int
+from .errors import InvalidInputError, InvalidLegendrianError, Value, echo_int, echo_value
 
 _set = object.__setattr__
 
@@ -63,6 +63,10 @@ class ExternalKnot(Value):
     __slots__ = _fields = ("knot", "lk_with_original")
 
     def __init__(self, knot: LegendrianUnknot, lk_with_original: int):
+        if type(knot) is not LegendrianUnknot:
+            raise InvalidInputError(
+                f"a knot must be a LegendrianUnknot (got type {type(knot).__name__})"
+            )
         # exact type, as for tb and rot: a bool or a float is not a linking number
         if type(lk_with_original) is not int:
             raise InvalidInputError(
@@ -78,7 +82,7 @@ def stabilize(knot: LegendrianUnknot, sign: int) -> LegendrianUnknot:
     Stabilization preserves validity, so the result never raises.
     """
     if type(sign) is not int or sign not in (1, -1):
-        raise InvalidInputError(f"stabilization sign must be +1 or -1, got {sign}")
+        raise InvalidInputError(f"stabilization sign must be +1 or -1, got {echo_value(sign)}")
     return LegendrianUnknot(knot.tb - 1, knot.rot + sign)
 
 
@@ -93,6 +97,11 @@ def kirby_topological_condition(m: int, n: int) -> int | None:
     Returns +1 when n = m + 1, -1 when n = m - 1, and None otherwise; only
     those two framings make the surgery a topological Kirby move of type 1.
     """
+    # exact types: 3.0 equals 3 but is not a framing, and True is not an m
+    if type(m) is not int or type(n) is not int:
+        raise InvalidInputError(
+            f"m and n must be integers (got types {type(m).__name__} and {type(n).__name__})"
+        )
     if m < 1:
         raise InvalidInputError(f"m must be at least 1 (got {echo_int(m)})")
     if n == m + 1:

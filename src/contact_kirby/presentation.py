@@ -15,14 +15,17 @@ deterministically, by a link of contact (+1)- and (-1)-surgeries:
   stabilizations and a contact (-1) coefficient.
 
 Each stabilization consumes one sign from the caller, so a conversion
-with s stabilizations has 2^s distinct presentations.  A presentation is
-its knot, its coefficient and its signs: ``Presentation(k, r, s) ==
-convert(k, r, s)``, and its components are derived from those three on
-construction.  A Legendrian unknot is fixed by (tb, rot), so each chain
-component is built in one step from how many of its signs are positive.
-Those counts, one per chain entry, fix the branch's Legendrian class,
-so only prod(k_i + 1) of the 2^s branches are distinct links, k_i the
-stabilizations of entry i; the branches of one class share one tuple.
+with s stabilizations has 2^s distinct presentations.  What they share
+is one :class:`Surgery`: the conversion plan, every component's tb and
+contact sign (none depends on the signs), and, once something solves
+for invariants, the continuants of the linking matrix.  A presentation
+is its knot, its coefficient and its signs: ``Presentation(k, r, s) ==
+convert(k, r, s)``.  How many signs of each chain entry are positive,
+its class key, fixes the branch's Legendrian class, so only
+prod(k_i + 1) of the 2^s branches are distinct links, k_i the
+stabilizations of entry i.  A presentation's components are built when
+something first reads them, once per class: the branches of one class
+share one tuple, and a screen that reads only invariants builds none.
 :func:`enumerate_presentations` reads each branch's class off one
 product of per-entry counts and builds only the first branch of each
 class through :func:`convert`, so every other branch costs the same
@@ -40,7 +43,7 @@ import functools
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import countOf
+from operator import countOf, mul
 
 from . import legendrian
 from .errors import (
@@ -49,9 +52,10 @@ from .errors import (
     Value,
     ZeroSurgeryError,
     echo_int,
+    echo_list,
     echo_rational,
 )
-from .exact import IntMatrix
+from .exact import IntMatrix, continuants
 from .legendrian import ExternalKnot, LegendrianUnknot
 
 Coefficient = int | Fraction
@@ -74,7 +78,7 @@ class CFExpansion(Value):
             raise InvalidExpansionError("expansion needs at least one coefficient")
         if any(c > -2 for c in coeffs):
             raise InvalidExpansionError(
-                f"expansion coefficients must be at most -2, got {list(coeffs)}"
+                f"expansion coefficients must be at most -2, got {echo_list(coeffs)}"
             )
         _set(self, "coeffs", coeffs)
 
@@ -112,68 +116,134 @@ class Component(Value):
         return self.knot.tb + self.contact_sign
 
 
+class Surgery:
+    """Contact r-surgery on one knot: what every branch of its conversion shares.
+
+    Built once per (knot, coefficient) and handed to each branch.  It
+    holds the conversion plan (``plus`` (+1) components, then one chain
+    entry per stabilization count in ``counts``; ``chunks`` pairs each
+    entry that has signs with their slice of the ``budget`` signs) and
+    every component's tb and contact sign.
+    Two things are computed on first use and kept: the solve's terms
+    (:meth:`solve_terms`) and the components of each class under its key
+    (``classes``), whose distinct chain knots are built once.
+    """
+
+    __slots__ = (
+        "knot", "coefficient", "plus", "counts", "budget", "chunks", "tbs",
+        "contact_signs", "classes", "_knots", "_terms",
+    )
+
+    def __init__(self, knot: LegendrianUnknot, coefficient: Coefficient):
+        # exact type: anything else would fail later, on its first tb
+        if type(knot) is not LegendrianUnknot:
+            raise InvalidInputError(
+                f"a knot must be a LegendrianUnknot (got type {type(knot).__name__})"
+            )
+        self.knot = knot
+        self.coefficient = coefficient = _as_fraction(coefficient)
+        plus, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
+        self.plus, self.counts, self.budget = plus, counts, bounds[-1]
+        self.chunks = tuple(
+            (i, slice(start, stop))
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])) if stop > start
+        )
+        # a chain component's tb is the knot's less the stabilizations so far
+        self.tbs = (knot.tb,) * plus + tuple(knot.tb - b for b in bounds[1:])
+        self.contact_signs = (1,) * plus + (-1,) * len(counts)
+        self.classes = {}
+        self._knots = {}
+        self._terms = None
+
+    def class_components(self, key: tuple) -> tuple:
+        """The components of the class with positive counts ``key``, built on first call."""
+        components = self.classes.get(key)
+        if components is None:
+            components = self.classes[key] = self._build(key)
+        return components
+
+    def _build(self, positives: tuple) -> tuple:
+        knot, knots = self.knot, self._knots
+        # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
+        components = [Component(i, knot, 1) for i in range(self.plus)]
+        tb, rot = knot.tb, knot.rot
+        for count, pos in zip(self.counts, positives):
+            tb -= count
+            rot += 2 * pos - count
+            chain_knot = knots.get((tb, rot))
+            if chain_knot is None:
+                chain_knot = knots[tb, rot] = LegendrianUnknot(tb, rot)
+            components.append(Component(len(components), chain_knot, -1, pos, count - pos))
+        return tuple(components)
+
+    def solve_terms(self) -> tuple:
+        """``(thetas, offset, weights)``, computed on first call.
+
+        ``thetas`` are the trailing continuants of the slid linking matrix
+        (:func:`slid_diagonal`), theta_1 = det M first.  With r_k the rot
+        and s_k the contact sign of component k, the pairing
+        sum_k (r_k - r_{k-1}) (s_1 ... s_{k-1}) theta_{k+1} that the rot
+        solve needs is ``offset`` plus the dot product of a branch's class
+        key with ``weights``: r_1 - r_0 is the knot's rot, a (+1)
+        push-off adds nothing, and chain entry j adds 2 pos_j - count_j,
+        where every chain sign is -1.
+        """
+        if self._terms is None:
+            thetas = continuants(_slid(self.tbs, self.contact_signs))
+            # (s_1 ... s_{k-1}) theta_{k+1} for the chain components k
+            halves = [-t if j % 2 else t for j, t in enumerate(thetas[self.plus + 1:])]
+            offset = self.knot.rot * thetas[1] - sum(map(mul, self.counts, halves))
+            self._terms = thetas, offset, tuple(2 * h for h in halves)
+        return self._terms
+
+
 class Presentation(Value):
     """An ordered (+/-1)-surgery link replacing one rational contact surgery.
 
     A presentation is its knot, its coefficient and its stabilization
-    signs; ``components`` is derived from them once, on construction, so
-    equality and hashing read only those three.  ``classes``, a dict made
-    for one surgery and handed to each of its branches, gives every branch
-    of one Legendrian class the components tuple the first one built.
+    signs, so equality and hashing read only those three.  It also holds
+    its :class:`Surgery`, shared by every branch handed the same one, and
+    its class key, the positive count of each chain entry's signs;
+    ``components`` is the surgery's tuple for that class, built when first
+    read.
     """
 
     _fields = ("source_knot", "source_coefficient", "sign_choice")
-    __slots__ = _fields + ("components",)
+    __slots__ = _fields + ("surgery", "key")
 
     def __init__(
         self, source_knot: LegendrianUnknot, source_coefficient: Coefficient,
-        sign_choice: Sequence[int], classes: dict | None = None,
+        sign_choice: Sequence[int], surgery: Surgery | None = None,
     ):
-        coefficient = _as_fraction(source_coefficient)
+        if surgery is None:
+            surgery = Surgery(source_knot, source_coefficient)
+        elif (surgery.knot, surgery.coefficient) != (source_knot, source_coefficient):
+            raise InvalidInputError("the surgery given is of another knot or coefficient")
         sign_choice = tuple(sign_choice)
         # exact types first: True and 1.0 equal 1 but are not signs
         if not (_INT_ONLY.issuperset(map(type, sign_choice)) and _SIGNS.issuperset(sign_choice)):
-            raise InvalidInputError(f"signs must be +1 or -1, got {list(sign_choice)}")
-        plus, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
-        if len(sign_choice) != bounds[-1]:
+            raise InvalidInputError(f"signs must be +1 or -1, got {echo_list(sign_choice)}")
+        if len(sign_choice) != surgery.budget:
             raise InvalidInputError(
                 f"sign vector has length {echo_int(len(sign_choice))} but this "
-                f"conversion stabilizes {echo_int(bounds[-1])} times"
+                f"conversion stabilizes {echo_int(surgery.budget)} times"
             )
-        # the class: how many signs of each chain entry are positive
-        chunks = map(slice, bounds, bounds[1:])
-        key = tuple(map(countOf, map(sign_choice.__getitem__, chunks), itertools.repeat(1)))
-        classes = {} if classes is None else classes
-        components = classes.get(key)
-        if components is None:
-            components = classes[key] = _components(source_knot, plus, counts, key, classes)
-        _set(self, "source_knot", source_knot)
-        _set(self, "source_coefficient", coefficient)
+        key = [0] * len(surgery.counts)
+        for i, chunk in surgery.chunks:
+            key[i] = countOf(sign_choice[chunk], 1)
+        _set(self, "source_knot", surgery.knot)
+        _set(self, "source_coefficient", surgery.coefficient)
         _set(self, "sign_choice", sign_choice)
-        _set(self, "components", components)
+        _set(self, "surgery", surgery)
+        _set(self, "key", tuple(key))
+
+    @property
+    def components(self) -> tuple:
+        return self.surgery.class_components(self.key)
 
     @property
     def signs_string(self) -> str:
         return signs_string(self.sign_choice)
-
-
-def _components(knot, plus, counts, positives, classes) -> tuple:
-    """The components of one class, each distinct chain knot built once.
-
-    ``classes`` keeps the knots under (tb, rot), which no class key
-    equals: a tb is negative, a positive count is not.
-    """
-    # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
-    components = [Component(i, knot, 1) for i in range(plus)]
-    tb, rot = knot.tb, knot.rot
-    for count, pos in zip(counts, positives):
-        tb -= count
-        rot += 2 * pos - count
-        chain_knot = classes.get((tb, rot))
-        if chain_knot is None:
-            chain_knot = classes[tb, rot] = LegendrianUnknot(tb, rot)
-        components.append(Component(len(components), chain_knot, -1, pos, count - pos))
-    return tuple(components)
 
 
 def _int_entries(coeffs) -> tuple:
@@ -201,7 +271,7 @@ def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
     for c in reversed(coeffs[:-1]):
         if value == 0:
             raise InvalidExpansionError(
-                f"division by zero while evaluating {list(coeffs)}"
+                f"division by zero while evaluating {echo_list(coeffs)}"
             )
         value = c - 1 / value
     return value
@@ -220,18 +290,17 @@ def expand_negative(r: Coefficient) -> CFExpansion:
         raise InvalidInputError(
             f"only negative coefficients expand (got {echo_rational(r)})"
         )
-    coeffs = list(_floor_expansion(r))
+    coeffs = list(_floor_expansion(r.numerator, r.denominator))
     coeffs[0] -= 1
     return CFExpansion(tuple(coeffs))
 
 
-def _floor_expansion(x: Fraction):
-    """Yield c = floor(x), then continue with x <- 1/(c - x), until x == c.
+def _floor_expansion(p: int, q: int):
+    """Yield c = floor(x), then continue with x <- 1/(c - x), until x == c, for x = p/q.
 
-    Integer Euclid on x = p/q: with p = c q + rest (0 <= rest < q),
-    c - x = -rest/q, so the next x is -q/rest.
+    Integer Euclid: with p = c q + rest (0 <= rest < q), c - x = -rest/q,
+    so the next x is -q/rest.
     """
-    p, q = x.numerator, x.denominator
     while True:
         c, rest = divmod(p, q)
         yield c
@@ -255,26 +324,26 @@ def _as_fraction(coefficient: Coefficient) -> Fraction:
     return Fraction(coefficient)
 
 
-def _peel_plus(coefficient: Fraction) -> tuple:
-    """Number of contact (+1) components, and the negative residual if any.
+def _peel_plus(p: int, q: int) -> tuple:
+    """Number of contact (+1) components of p/q, and the negative residual if any.
 
-    The peeling step r -> r/(1 - r) takes p/q to p/(q - p): the numerator
+    The residual is a reduced (numerator, denominator) pair, or None.  The
+    peeling step r -> r/(1 - r) takes p/q to p/(q - p): the numerator
     stays and the denominator drops by p.  For p = 1 the steps end at
     1/1, itself one more (+1) component, after q components in all.  For
     p > 1, coprime to q, they pass 1 and end at p/(q mod p - p) < 0 after
     q // p + 1 steps.  A negative coefficient is its own residual.
     """
-    p, q = coefficient.numerator, coefficient.denominator
     if p == 0:
         raise ZeroSurgeryError(
             "contact 0-surgery has no (+/-1)-surgery presentation"
         )
     if p < 0:
-        return 0, coefficient
+        return 0, (p, q)
     steps, rest = divmod(q, p)
     if rest == 0:
         return q, None
-    return steps + 1, Fraction(p, rest - p)
+    return steps + 1, (-p, p - rest)
 
 
 @functools.lru_cache(maxsize=256)
@@ -282,15 +351,18 @@ def _conversion_plan(numerator: int, denominator: int):
     """The (+1) count, the chain's stabilization counts, and the bounds of their signs.
 
     The bounds are 0 and the running sums of the counts, so the last is
-    the stabilization budget.  Cached, and keyed by two ints, which hash
-    faster than a ``Fraction``, because every branch of one surgery
-    converts the same coefficient.
+    the stabilization budget.  Integer arithmetic throughout: entry a_i of
+    the residual's expansion (:func:`expand_negative`, every entry at most
+    -2) has -(a_i + 2) stabilizations.  Cached, and keyed by two ints,
+    which hash faster than a ``Fraction``, because every branch of one
+    surgery converts the same coefficient.
     """
-    plus, residual = _peel_plus(Fraction(numerator, denominator))
+    plus, residual = _peel_plus(numerator, denominator)
     if residual is None:
         return plus, (), (0,)
-    counts = expand_negative(residual).stabilization_counts
-    return plus, counts, tuple(itertools.accumulate(counts, initial=0))
+    counts = [-(c + 2) for c in _floor_expansion(*residual)]
+    counts[0] += 1  # the leading entry, shifted down by one
+    return plus, tuple(counts), tuple(itertools.accumulate(counts, initial=0))
 
 
 def component_count(coefficient: Coefficient, at_most: int) -> int:
@@ -302,10 +374,11 @@ def component_count(coefficient: Coefficient, at_most: int) -> int:
     coefficient such as 1/10^9 or -(10^9 + 1)/10^9, whose conversion
     never ends in practice, is counted in bounded time.
     """
-    plus, residual = _peel_plus(_as_fraction(coefficient))
+    coefficient = _as_fraction(coefficient)
+    plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
     if residual is None or plus > at_most:
         return plus
-    chain = itertools.islice(_floor_expansion(residual), at_most + 1 - plus)
+    chain = itertools.islice(_floor_expansion(*residual), at_most + 1 - plus)
     return plus + sum(1 for _ in chain)
 
 
@@ -319,15 +392,16 @@ def convert(
     knot: LegendrianUnknot,
     coefficient: Coefficient,
     signs: Sequence[int] = (),
-    classes: dict | None = None,
+    surgery: Surgery | None = None,
 ) -> Presentation:
     """Convert contact r-surgery on ``knot`` into one (+/-1)-presentation.
 
     ``signs`` fixes the stabilization choices, consumed chain-first and
     left to right; its length must equal :func:`stabilization_budget`.
-    ``classes`` is shared by the branches of one surgery only.
+    ``surgery``, the :class:`Surgery` of ``knot`` and ``coefficient``, is
+    shared by the branches it is given to; by default each builds its own.
     """
-    return Presentation(knot, coefficient, signs, classes)
+    return Presentation(knot, coefficient, signs, surgery)
 
 
 def enumerate_presentations(
@@ -336,28 +410,28 @@ def enumerate_presentations(
     """All presentations of one surgery, in plus-first lexicographic sign order.
 
     The first entry is the all-plus branch; a coefficient with s
-    stabilizations yields exactly 2^s presentations.  In this order the
-    class keys are the product of each chain entry's positive counts over
-    its own signs, so no branch counts its signs.  The first branch of
-    each class goes through :func:`convert`; every later one is given the
-    class's components tuple as it is.  The class table lives only as
-    long as this call.
+    stabilizations yields exactly 2^s presentations, all sharing one
+    :class:`Surgery`.  In this order the class keys are the product of
+    each chain entry's positive counts over its own signs, so no branch
+    counts its signs.  The first branch of each class goes through
+    :func:`convert`; every later one is given its key as it is.
     """
-    coefficient = _as_fraction(coefficient)
-    _, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
-    keys = itertools.product(*map(_positive_counts, counts))
-    classes = {}
+    surgery = Surgery(knot, coefficient)
+    knot, coefficient = surgery.knot, surgery.coefficient
+    keys = itertools.product(*map(_positive_counts, surgery.counts))
+    seen = set()
     presentations = []
-    for choice, key in zip(itertools.product((1, -1), repeat=bounds[-1]), keys):
-        components = classes.get(key)
-        if components is None:
-            presentations.append(convert(knot, coefficient, choice, classes))
+    for choice, key in zip(itertools.product((1, -1), repeat=surgery.budget), keys):
+        if key not in seen:
+            seen.add(key)
+            presentations.append(convert(knot, coefficient, choice, surgery))
             continue
         pres = object.__new__(Presentation)
         _set(pres, "source_knot", knot)
         _set(pres, "source_coefficient", coefficient)
         _set(pres, "sign_choice", choice)
-        _set(pres, "components", components)
+        _set(pres, "surgery", surgery)
+        _set(pres, "key", key)
         presentations.append(pres)
     return presentations
 
@@ -380,16 +454,17 @@ def linking_matrix(presentation: Presentation) -> IntMatrix:
     Diagonal entries are the topological surgery coefficients
     (tb + contact sign); the off-diagonal entry for components i < j is
     the tb of component i after its own stabilizations, by the
-    parallel-copy rule.
+    parallel-copy rule.  Every branch of one surgery has the same matrix.
     """
-    comps = presentation.components
-    tbs = [c.knot.tb for c in comps]
+    surgery = presentation.surgery
+    tbs = list(surgery.tbs)
+    n = len(tbs)
     rows = []
-    for i, ci in enumerate(comps):
+    for i, (tb, sign) in enumerate(zip(tbs, surgery.contact_signs)):
         # entry j is tb[j] left of the diagonal and tb[i] right of it
         row = tbs[:i]
-        row.append(ci.knot.tb + ci.contact_sign)
-        row.extend([ci.knot.tb] * (len(comps) - 1 - i))
+        row.append(tb + sign)
+        row.extend([tb] * (n - 1 - i))
         rows.append(row)
     return IntMatrix(rows)
 
@@ -404,10 +479,14 @@ def slid_diagonal(presentation: Presentation) -> tuple:
     (t_i - t_{i-1}) + s_i + s_{i-1} and the entry between components i and
     i + 1 is -s_i, whose square is 1.
     """
+    surgery = presentation.surgery
+    return _slid(surgery.tbs, surgery.contact_signs)
+
+
+def _slid(tbs: tuple, signs: tuple) -> tuple:
     diagonal = []
     tb_prev = sign_prev = 0
-    for comp in presentation.components:
-        tb, sign = comp.knot.tb, comp.contact_sign
+    for tb, sign in zip(tbs, signs):
         diagonal.append(tb - tb_prev + sign + sign_prev)
         tb_prev, sign_prev = tb, sign
     return tuple(diagonal)
@@ -420,7 +499,7 @@ def linking_vector(presentation: Presentation, ext: ExternalKnot) -> tuple:
     stabilization does not change linking numbers, so every entry equals
     the external knot's linking number with the original.
     """
-    return tuple(ext.lk_with_original for _ in presentation.components)
+    return (ext.lk_with_original,) * len(presentation.surgery.tbs)
 
 
 def rot_vector(presentation: Presentation) -> tuple:

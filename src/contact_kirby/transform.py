@@ -28,7 +28,13 @@ so P L = lk e_1 and
 Every numerator is an integer and the only division is the final
 reduction by theta_1, so a zero continuant part-way along the chain (at
 a (+1) component) needs no pivoting, and theta_1 = 0 means M is
-singular.  The solve is linear in the number of components.
+singular.  Neither M nor the thetas depend on the stabilization signs,
+and the rot steps r_k - r_{k-1} are affine in the branch's class key
+(the positive sign count of each chain entry), so the thetas and the
+weights of that sum are computed once per surgery
+(:meth:`presentation.Surgery.solve_terms`, linear in the number of
+components).  Each branch then costs one integer dot product and two
+exact divisions, and builds no components.
 
 :func:`invariants_by_inverse` is the general path: the dense Bareiss
 inverse of :mod:`exact` applied to M itself.  ``analyze``, which prints
@@ -52,17 +58,18 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import mul
 
-from .errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError, Value
-from .exact import apply, continuants, inner, invert
-from .legendrian import ExternalKnot
-from .presentation import (
-    Presentation,
-    linking_matrix,
-    linking_vector,
-    rot_vector,
-    slid_diagonal,
+from .errors import (
+    InvalidInputError,
+    NonIntegralInvariantError,
+    SingularMatrixError,
+    Value,
+    echo_value,
 )
+from .exact import apply, inner, invert
+from .legendrian import ExternalKnot
+from .presentation import Presentation, linking_matrix, linking_vector, rot_vector
 
 
 _set = object.__setattr__
@@ -109,31 +116,31 @@ def _require_integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _quotient(numerator: int, det: int, what: str) -> int:
+    """``numerator / det`` as an ``int``; a ``Fraction`` is built only to report a non-integer."""
+    quotient, rest = divmod(numerator, det)
+    if rest:
+        _require_integral(Fraction(numerator, det), what)
+    return quotient
+
+
 def invariants_after_surgery(
     presentation: Presentation, ext: ExternalKnot
 ) -> PostSurgeryInvariants:
-    """Both post-surgery invariants from one continuant solve.
+    """Both post-surgery invariants from the surgery's one continuant solve.
 
     tb is checked for integrality first, so a presentation where both
     come out non-integral raises about tb.
     """
-    thetas = continuants(slid_diagonal(presentation))
+    thetas, offset, weights = presentation.surgery.solve_terms()
     det = thetas[0]
     if det == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
     lk = ext.lk_with_original
-    pairing = 0  # <C, M^-1 L> = lk * pairing / det
-    rot_prev = 0
-    signs = 1
-    for comp, theta in zip(presentation.components, thetas[1:]):
-        pairing += (comp.knot.rot - rot_prev) * signs * theta
-        rot_prev = comp.knot.rot
-        signs *= comp.contact_sign
-    tb_new = Fraction(ext.knot.tb * det - lk * lk * thetas[1], det)
-    rot_new = Fraction(ext.knot.rot * det - lk * pairing, det)
+    pairing = sum(map(mul, presentation.key, weights), offset)  # <C, M^-1 L> = lk * pairing / det
     return PostSurgeryInvariants(
-        _require_integral(tb_new, "Thurston-Bennequin number"),
-        _require_integral(rot_new, "rotation number"),
+        _quotient(ext.knot.tb * det - lk * lk * thetas[1], det, "Thurston-Bennequin number"),
+        _quotient(ext.knot.rot * det - lk * pairing, det, "rotation number"),
     )
 
 
@@ -168,7 +175,7 @@ def framing_unknot_tb_shift(topological_sign: int, tb0: int) -> int:
     """
     if topological_sign not in (1, -1):
         raise InvalidInputError(
-            f"topological surgery sign must be +1 or -1, got {topological_sign}"
+            f"topological surgery sign must be +1 or -1, got {echo_value(topological_sign)}"
         )
     return tb0 - topological_sign
 

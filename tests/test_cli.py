@@ -255,10 +255,10 @@ class TestConvert:
 
     @pytest.mark.parametrize("length", [4096, 4097, 5000])
     def test_invalid_json_in_a_long_path(self, monkeypatch, capsys, length):
-        from contact_kirby import cli
+        from contact_kirby import _presentations
 
         # open() refuses a path past PATH_MAX, so the file is a stand-in
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: io.StringIO("{"), raising=False)
+        monkeypatch.setattr(_presentations, "open", lambda *args, **kwargs: io.StringIO("{"), raising=False)
         path = "/" + "x" * (length - 1)
         shown = path if length <= 4096 else f"{path[:4096]}... ({length} characters)"
         code, out, err = run_cli(capsys, "convert", "--input", path)
@@ -593,11 +593,11 @@ class TestBatchedStdout:
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_one_component_document_per_distinct_component(self, monkeypatch, capsys, fmt):
-        from contact_kirby import cli
+        from contact_kirby import _presentations
 
         calls = []
-        original = cli._component_doc
-        monkeypatch.setattr(cli, "_component_doc", lambda c: calls.append(c) or original(c))
+        original = _presentations._component_doc
+        monkeypatch.setattr(_presentations, "_component_doc", lambda c: calls.append(c) or original(c))
         code, _, _ = run_cli(capsys, "convert", *self.DIAGRAM, "--format", fmt)
         assert code == 0
         knot = LegendrianUnknot(-2, 1)
@@ -687,13 +687,14 @@ class TestBranchSplice:
 
     @pytest.mark.parametrize("argv, lk", CASES)
     def test_text_equals_the_text_of_the_rebuilt_documents(self, capsys, argv, lk):
-        from contact_kirby import cli
+        from contact_kirby import _presentations
 
         code, out, err = run_cli(capsys, *argv, "--format", "table")
         assert (code, err) == (0, "")
         expected = self.expected(argv, lk)
         assert out == "".join(
-            cli._presentation_heading(idx, len(expected), doc["signs"]) + cli._presentation_body(doc)
+            _presentations._presentation_heading(idx, len(expected), doc["signs"])
+            + _presentations._presentation_body(doc)
             for idx, doc in enumerate(expected)
         )
 
@@ -761,10 +762,10 @@ class TestPresentationsWriter:
 
     @pytest.mark.parametrize("command", [("convert",), ("analyze", "--lk", "332")])
     def test_each_class_is_rendered_once_per_format(self, monkeypatch, capsys, command):
-        from contact_kirby import cli
+        from contact_kirby import _presentations, cli
 
         rendered, bodies, documents = [], [], []
-        dump, body, to_json = cli._dump, cli._presentation_body, cli.canonical_json
+        dump, body, to_json = cli._dump, _presentations._presentation_body, cli.canonical_json
 
         def dump_class(value, indent):
             if isinstance(value, dict) and "components" in value:
@@ -772,7 +773,7 @@ class TestPresentationsWriter:
             return dump(value, indent)
 
         monkeypatch.setattr(cli, "_dump", dump_class)
-        monkeypatch.setattr(cli, "_presentation_body", lambda doc: bodies.append(doc) or body(doc))
+        monkeypatch.setattr(_presentations, "_presentation_body", lambda doc: bodies.append(doc) or body(doc))
         monkeypatch.setattr(cli, "canonical_json", lambda doc: documents.append(doc) or to_json(doc))
         branches = enumerate_presentations(LegendrianUnknot(-2, 1), Fraction(-82, 125))
         classes = len({id(pres.components) for pres in branches})
@@ -1316,7 +1317,7 @@ class TestOneSolvePerClass:
         assert codes.count(0) > 20 and codes.count(3) > 20
 
     def test_one_dense_solve_per_class(self, capsys, monkeypatch):
-        from contact_kirby import cli
+        from contact_kirby import transform
 
         calls = []
 
@@ -1324,7 +1325,7 @@ class TestOneSolvePerClass:
             calls.append(pres)
             return invariants_by_inverse(pres, ext)
 
-        monkeypatch.setattr(cli, "invariants_by_inverse", counted)
+        monkeypatch.setattr(transform, "invariants_by_inverse", counted)
         code, out, err = run_cli(
             capsys, "analyze", "--tb", "-1", "--rot", "0", "--coeff", "-14", "--lk", "15"
         )

@@ -240,3 +240,17 @@ class TestContinuants:
         assert continuants((5, 1, 1)) == (-1, 0, 1, 1)
         assert det(IntMatrix([[5, 1, 0], [1, 1, 1], [0, 1, 1]])) == -1
         assert continuants((0,)) == (0, 1)
+
+
+class TestBoundedMessages:
+    def test_a_long_entry_is_cut(self):
+        with pytest.raises(InvalidInputError) as info:
+            IntMatrix([["x" * 100000]])
+        assert len(str(info.value)) < 200
+        assert str(info.value).endswith("... (100002 characters)")
+
+    @pytest.mark.parametrize("entry, shown", [("x", "'x'"), (1.5, "1.5"), (True, "True")])
+    def test_a_short_entry_reads_as_before(self, entry, shown):
+        with pytest.raises(InvalidInputError) as info:
+            IntMatrix([[entry]])
+        assert str(info.value) == f"matrix entries must be integers, got {shown}"

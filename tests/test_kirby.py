@@ -15,7 +15,7 @@ from contact_kirby.kirby import (
 )
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import enumerate_presentations, linking_matrix
-from contact_kirby.transform import BennequinVerdict, invariants_after_surgery
+from contact_kirby.transform import BennequinVerdict, invariants_after_surgery, invariants_by_inverse
 
 
 class TestGate:
@@ -215,3 +215,25 @@ class TestMirrorCoverage:
                 assert verdict.status == twin.status
                 assert verdict.tb_new == twin.tb_new
                 assert verdict.rot_new == -twin.rot_new
+
+
+class TestSweepAgainstTheDenseSolve:
+    def test_every_diagram_up_to_m_12(self):
+        """Every m <= 12, every valid rot, both collections: verdicts equal a dense solve per branch."""
+        seen = set()
+        for m in range(1, 13):
+            for n in (m - 1, m + 1):
+                for rot in range(-(m - 1), m, 2):
+                    report = classify(gate(m, n, rot))
+                    seen.add(report.collection)
+                    if n == 0:
+                        assert [v.reason for v in report.verdicts] == [ZERO_SURGERY_REASON]
+                        continue
+                    diagram = report.diagram
+                    ext = ExternalKnot(LegendrianUnknot(-1, 0), diagram.branch)
+                    branches = enumerate_presentations(diagram.knot, n)
+                    assert [v.sign_choice for v in report.verdicts] == [p.sign_choice for p in branches]
+                    for pres, verdict in zip(branches, report.verdicts):
+                        dense = invariants_by_inverse(pres, ext)
+                        assert (verdict.tb_new, verdict.rot_new) == (dense.tb_new, dense.rot_new)
+        assert seen == {"C1", "C2"}

@@ -126,3 +126,29 @@ class TestMirrorAndExternal:
     def test_external_knot_takes_only_an_int_lk(self, lk):
         with pytest.raises(InvalidInputError, match=rf"\(got type {type(lk).__name__}\)"):
             ExternalKnot(LegendrianUnknot(-1, 0), lk)
+
+
+class TestLibraryInputTypes:
+    """A wrong type is refused by name, never carried to a raw AttributeError."""
+
+    def test_external_knot_takes_only_a_legendrian_unknot(self):
+        with pytest.raises(InvalidInputError, match=r"LegendrianUnknot \(got type str\)"):
+            ExternalKnot("x", 1)
+
+    def test_kirby_condition_takes_only_ints(self):
+        with pytest.raises(InvalidInputError, match=r"\(got types float and float\)"):
+            kirby_topological_condition(2.0, 3.0)
+
+
+class TestBoundedMessages:
+    def test_a_long_stabilization_sign_is_cut(self):
+        with pytest.raises(InvalidInputError) as info:
+            stabilize(LegendrianUnknot(-1, 0), "x" * 100000)
+        assert len(str(info.value)) < 200
+        assert str(info.value).endswith("x" * 20 + "... (100000 characters)")
+
+    @pytest.mark.parametrize("sign, shown", [("x", "x"), (2, "2"), (1.5, "1.5"), (True, "True")])
+    def test_a_short_stabilization_sign_reads_as_before(self, sign, shown):
+        with pytest.raises(InvalidInputError) as info:
+            stabilize(LegendrianUnknot(-1, 0), sign)
+        assert str(info.value) == f"stabilization sign must be +1 or -1, got {shown}"

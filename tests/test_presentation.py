@@ -18,6 +18,7 @@ from contact_kirby.presentation import (
     CFExpansion,
     Component,
     Presentation,
+    Surgery,
     component_count,
     convert,
     enumerate_presentations,
@@ -30,6 +31,8 @@ from contact_kirby.presentation import (
     slid_diagonal,
     stabilization_budget,
 )
+
+from contact_kirby.transform import invariants_after_surgery
 
 from oracles import cf_convergent_value, chain_family_matrix
 
@@ -213,16 +216,16 @@ class TestEnumerate:
         from contact_kirby import presentation
 
         calls = []
-        expand = presentation.expand_negative
+        expand = presentation._floor_expansion
         monkeypatch.setattr(
-            presentation, "expand_negative", lambda r: calls.append(r) or expand(r)
+            presentation, "_floor_expansion", lambda p, q: calls.append((p, q)) or expand(p, q)
         )
         presentation._conversion_plan.cache_clear()
         try:
             branches = enumerate_presentations(LegendrianUnknot(-1, 0), -11)
         finally:
             presentation._conversion_plan.cache_clear()
-        assert calls == [Fraction(-11)]
+        assert calls == [(-11, 1)]
         assert len(branches) == 2 ** 10
 
 
@@ -462,11 +465,15 @@ class TestComponentCount:
     def test_closed_form_plus_count_matches_stepping(self):
         from contact_kirby import presentation
 
+        def peel(r):
+            plus, residual = presentation._peel_plus(r.numerator, r.denominator)
+            return plus, None if residual is None else Fraction(*residual)
+
         rng = random.Random(3001)
         for _ in range(400):
             r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-            assert presentation._peel_plus(r) == stepped_plus_count(r)
-        assert presentation._peel_plus(Fraction(-7, 3)) == (0, Fraction(-7, 3))
+            assert peel(r) == stepped_plus_count(r)
+        assert peel(Fraction(-7, 3)) == (0, Fraction(-7, 3))
 
     def test_counts_every_component_of_the_conversion(self):
         rng = random.Random(3002)
@@ -570,10 +577,10 @@ class TestClassesShareComponents:
             assert len(knots) == len(set(knots.values()))
 
     def test_a_table_does_not_change_the_presentation(self):
-        classes = {}
         k, r = LegendrianUnknot(-2, 1), Fraction(-7, 3)
+        surgery = Surgery(k, r)
         # -7/3 is one chain entry with 2 stabilizations (and two with none)
-        shared = [convert(k, r, signs, classes) for signs in ((1, -1), (-1, 1))]
+        shared = [convert(k, r, signs, surgery) for signs in ((1, -1), (-1, 1))]
         assert shared == [Presentation(k, r, (1, -1)), Presentation(k, r, (-1, 1))]
         assert shared[0].components is shared[1].components
 
@@ -636,8 +643,8 @@ class TestEnumerationEqualsConversion:
             presentation, "convert", lambda *args: calls.append(args[2]) or original(*args)
         )
         branches = enumerate_presentations(knot, r)
-        _, residual = presentation._peel_plus(r)
-        counts = () if residual is None else expand_negative(residual).stabilization_counts
+        _, residual = presentation._peel_plus(r.numerator, r.denominator)
+        counts = () if residual is None else expand_negative(Fraction(*residual)).stabilization_counts
         classes = 1
         for count in counts:
             classes *= count + 1
@@ -647,3 +654,84 @@ class TestEnumerationEqualsConversion:
         for pres in branches:
             firsts.setdefault(class_key(pres), pres.sign_choice)
         assert calls == list(firsts.values())
+
+
+class TestLibraryInputTypes:
+    """The surgery checks its knot's exact type; a wrong one is refused by name."""
+
+    def test_convert_refuses_a_string_knot(self):
+        with pytest.raises(InvalidInputError, match=r"LegendrianUnknot \(got type str\)"):
+            convert("knot", Fraction(-2), (1,))
+
+    def test_convert_refuses_no_knot(self):
+        with pytest.raises(InvalidInputError, match=r"LegendrianUnknot \(got type NoneType\)"):
+            convert(None, Fraction(1), ())
+
+    def test_enumeration_refuses_a_string_knot(self):
+        with pytest.raises(InvalidInputError, match=r"LegendrianUnknot \(got type str\)"):
+            enumerate_presentations("k", Fraction(-2))
+
+    def test_a_surgery_of_another_diagram_is_refused(self):
+        surgery = Surgery(LegendrianUnknot(-1, 0), Fraction(-2))
+        with pytest.raises(InvalidInputError, match="another knot or coefficient"):
+            convert(LegendrianUnknot(-1, 0), Fraction(-3), (1, 1), surgery)
+        with pytest.raises(InvalidInputError, match="another knot or coefficient"):
+            convert(LegendrianUnknot(-3, 0), Fraction(-2), (1,), surgery)
+
+
+class TestBoundedMessages:
+    def test_a_long_expansion_is_cut(self):
+        with pytest.raises(InvalidExpansionError) as info:
+            CFExpansion((-1,) * 100000)
+        assert len(str(info.value)) < 200
+        assert str(info.value).endswith("got [-1, -1, -1, -1, -1,... (400000 characters)")
+
+    def test_a_short_expansion_reads_as_before(self):
+        with pytest.raises(InvalidExpansionError) as info:
+            CFExpansion((-3, -1))
+        assert str(info.value) == "expansion coefficients must be at most -2, got [-3, -1]"
+        with pytest.raises(InvalidExpansionError) as info:
+            evaluate_cf([-2, 1, 1])
+        assert str(info.value) == "division by zero while evaluating [-2, 1, 1]"
+
+    def test_long_signs_are_cut(self):
+        with pytest.raises(InvalidInputError) as info:
+            convert(LegendrianUnknot(-1, 0), Fraction(-2), ("x" * 100000,))
+        assert len(str(info.value)) < 200
+        with pytest.raises(InvalidInputError) as info:
+            convert(LegendrianUnknot(-1, 0), Fraction(-2), (10 ** 5000,))
+        assert len(str(info.value)) < 200
+
+    def test_short_signs_read_as_before(self):
+        with pytest.raises(InvalidInputError) as info:
+            convert(LegendrianUnknot(-1, 0), Fraction(-3), (1, True))
+        assert str(info.value) == "signs must be +1 or -1, got [1, True]"
+
+
+class TestComponentsAreBuiltWhenRead:
+    """Components come from the surgery, once per class, only when read."""
+
+    def test_reading_invariants_builds_no_components(self):
+        ext = ExternalKnot(LegendrianUnknot(-1, 0), 1)
+        branches = enumerate_presentations(LegendrianUnknot(-4, 1), Fraction(-13, 5))
+        surgery = branches[0].surgery
+        assert all(pres.surgery is surgery for pres in branches)
+        for pres in branches:
+            try:
+                invariants_after_surgery(pres, ext)
+            except ArithmeticError:
+                pass
+        assert surgery.classes == {}
+
+    def test_one_tuple_per_class_equal_to_an_eager_rebuild(self):
+        rng = random.Random(1913)
+        for _ in range(80):
+            knot, r = random_small_surgery(rng)
+            branches = enumerate_presentations(knot, r)
+            firsts = {}
+            for pres in branches:
+                first = firsts.setdefault(pres.key, pres.components)
+                assert pres.components is first
+                assert first == rebuilt_components(knot, r, pres.sign_choice)
+                assert pres.key == class_key(pres)
+            assert branches[0].surgery.classes == firsts

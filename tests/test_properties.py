@@ -158,3 +158,63 @@ def test_tb_new_is_the_closed_form(branch, ext_knot, lk):
             assert solve(pres, ext).tb_new == closed_form
         except NonIntegralInvariantError as exc:
             assert "rotation number" in str(exc)
+
+
+def detailed(solve, pres, ext):
+    """``solve``'s answer, or its error's type, message and exact value."""
+    try:
+        invariants = solve(pres, ext)
+    except (SingularMatrixError, NonIntegralInvariantError) as exc:
+        return type(exc), str(exc), getattr(exc, "value", None)
+    return invariants.tb_new, invariants.rot_new
+
+
+@st.composite
+def surgeries_and_linking_numbers(draw):
+    """A surgery with budget <= 6 and an lk that is, or is not, a multiple of |p + q tb|."""
+    knot = draw(knots())
+    r = draw(coefficients.filter(lambda r: stabilization_budget(r) <= 6))
+    order = abs(r.numerator + r.denominator * knot.tb)
+    if order == 0:
+        return knot, r, draw(st.integers(-5, 5))
+    lk = order * draw(st.integers(-3, 3))
+    if order > 1 and draw(st.booleans()):
+        lk += draw(st.integers(1, order - 1))
+    return knot, r, lk
+
+
+@settings(deadline=None)
+@given(surgeries_and_linking_numbers(), knots())
+# singular (p + q tb = 0), non-integral tb, and non-integral rot only
+@example((STANDARD, Fraction(1), 1), STANDARD)
+@example((STANDARD, Fraction(-8), 1), STANDARD)
+@example((STANDARD, Fraction(-8), -3), STANDARD)
+def test_every_branch_of_one_surgery_equals_the_dense_solve_and_oracle(surgery, ext_knot):
+    """The continuant solve, whose terms the branches share, on every branch.
+
+    The oracle solves M x = L once, since M and L are the same on every
+    branch; each branch then pairs x with its own rotation numbers.
+    """
+    knot, r, lk = surgery
+    ext = ExternalKnot(ext_knot, lk)
+    branches = enumerate_presentations(knot, r)
+    rows = [list(row) for row in linking_matrix(branches[0]).entries]
+    link = [lk] * len(rows)
+    try:
+        x = gauss_solve(rows, link)
+    except ZeroDivisionError:
+        x = None
+    for pres in branches:
+        fast = detailed(invariants_after_surgery, pres, ext)
+        assert fast == detailed(invariants_by_inverse, pres, ext)
+        if x is None:
+            assert fast[0] is SingularMatrixError
+            continue
+        tb_new = ext_knot.tb - sum(a * b for a, b in zip(link, x))
+        rot_new = ext_knot.rot - sum(a * b for a, b in zip(rot_vector(pres), x))
+        if tb_new.denominator != 1:
+            assert fast[:1] + fast[2:] == (NonIntegralInvariantError, tb_new)
+        elif rot_new.denominator != 1:
+            assert fast[:1] + fast[2:] == (NonIntegralInvariantError, rot_new)
+        else:
+            assert fast == (tb_new, rot_new)

@@ -294,3 +294,12 @@ class TestContinuantSolveAgainstDense:
             integral = tb_value.denominator == rot_value.denominator == 1
             seen["integral" if integral else "non-integral"] += 1
         assert min(seen.values()) > 0, seen
+
+
+def test_a_long_topological_sign_is_cut():
+    with pytest.raises(InvalidInputError) as info:
+        framing_unknot_tb_shift("x" * 100000, -1)
+    assert len(str(info.value)) < 200
+    with pytest.raises(InvalidInputError) as info:
+        framing_unknot_tb_shift(2, -1)
+    assert str(info.value) == "topological surgery sign must be +1 or -1, got 2"

@@ -22,7 +22,7 @@ from contact_kirby.kirby import (
     PresentationVerdict,
 )
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
-from contact_kirby.presentation import CFExpansion, Component, Presentation
+from contact_kirby.presentation import CFExpansion, Component, Presentation, Surgery
 from contact_kirby.transform import BennequinVerdict, PostSurgeryInvariants
 
 KNOT = LegendrianUnknot(-1, 0)
@@ -158,12 +158,11 @@ def test_inputs_are_normalized():
 
 class TestPresentation:
     def test_equality_and_hash_read_knot_coefficient_and_signs_only(self):
-        classes = {}
-        built = Presentation(KNOT, Fraction(3, 2), (1, -1), classes)
+        built = Presentation(KNOT, Fraction(3, 2), (1, -1))
         assert len(built.components) == 2
-        for key in classes:
-            classes[key] = ("doctored",)
-        doctored = Presentation(KNOT, Fraction(3, 2), (1, -1), classes)
+        surgery = Surgery(KNOT, Fraction(3, 2))
+        surgery.classes[built.key] = ("doctored",)
+        doctored = Presentation(KNOT, Fraction(3, 2), (1, -1), surgery)
         assert doctored.components == ("doctored",)
         assert doctored == built and hash(doctored) == hash(built)
         assert repr(doctored) == repr(built)
@@ -172,7 +171,7 @@ class TestPresentation:
     def test_classes_is_a_constructor_argument_only(self):
         pres = Presentation(
             source_knot=KNOT, source_coefficient=Fraction(3, 2), sign_choice=(1, -1),
-            classes={},
+            surgery=Surgery(KNOT, Fraction(3, 2)),
         )
         assert pres == Presentation(KNOT, Fraction(3, 2), (1, -1))
         with pytest.raises(AttributeError):
