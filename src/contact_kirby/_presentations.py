@@ -172,7 +172,7 @@ def _shared_matrix(pres) -> tuple:
     cli._check_printable(
         list(pres.surgery.tbs) + [x for row in matrix.entries for x in row]
     )
-    return matrix, cli.Fragment([list(row) for row in matrix.entries])
+    return matrix, cli.Fragment(matrix.entries)
 
 
 def _presentations_doc(command, echo, presentations, class_doc) -> tuple:

@@ -44,11 +44,12 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
     echo_int,
-    echo_rational,
     echo_text,
 )
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
-from .presentation import component_count, evaluate_cf, expand_negative
+from .presentation import (
+    component_bound_message, component_count, evaluate_cf, expand_negative,
+)
 
 try:  # the C encoder that json.dumps uses, without importing json
     from _json import encode_basestring_ascii as _quote
@@ -279,10 +280,7 @@ def _check_components(coefficient) -> None:
     A negative coefficient has one component per entry of its expansion.
     """
     if component_count(coefficient, MAX_COMPONENTS) > MAX_COMPONENTS:
-        raise InvalidInputError(
-            f"coefficient {echo_rational(coefficient)} converts into more than "
-            f"{MAX_COMPONENTS} components; at most {MAX_COMPONENTS} are supported"
-        )
+        raise InvalidInputError(component_bound_message(coefficient, MAX_COMPONENTS))
 
 
 # ---------------------------------------------------------------------------

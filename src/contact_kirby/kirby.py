@@ -26,8 +26,6 @@ from what they hold, never stored beside it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import GateRejectionError, InvalidLegendrianError, Value, echo_int
 from .legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from .presentation import enumerate_presentations, signs_string
@@ -41,7 +39,11 @@ ZERO_SURGERY_REASON = "contact 0-surgery yields an overtwisted contact structure
 _set = object.__setattr__
 
 
-def _gate_check(m: int, n: int, rot: int) -> None:
+def _gate_check(m: int, n: int, rot: int) -> tuple:
+    """The unknot with tb = -m and rot ``rot``, and the framing branch sign of n.
+
+    Raises naming the first necessary condition that fails.
+    """
     # exact types: n=True would print as true, and 3.0 equals 3 but is not m
     if type(m) is not int or type(n) is not int:
         raise GateRejectionError(
@@ -54,40 +56,40 @@ def _gate_check(m: int, n: int, rot: int) -> None:
         raise GateRejectionError(
             "n >= 0", f"contact framing must be non-negative (got n={echo_int(n)})"
         )
-    if kirby_topological_condition(m, n) is None:
+    branch = kirby_topological_condition(m, n)
+    if branch is None:
         raise GateRejectionError(
             "n = m +/- 1",
             f"topological condition n = m +/- 1 fails (m={echo_int(m)}, n={echo_int(n)})",
         )
     try:
-        LegendrianUnknot(-m, rot)
+        return LegendrianUnknot(-m, rot), branch
     except InvalidLegendrianError as exc:
         raise GateRejectionError("valid unknot", str(exc)) from exc
 
 
 class CandidateDiagram(Value):
-    """A gated candidate: contact n-surgery on the unknot with tb = -m."""
+    """A gated candidate: contact n-surgery on the unknot with tb = -m.
 
-    __slots__ = _fields = ("m", "n", "rot")
+    The value is (m, n, rot).  It also keeps what its gate built: ``knot``,
+    the unknot with tb = -m, and ``branch``, +1 for the n = m + 1 branch
+    and -1 for n = m - 1.
+    """
+
+    _fields = ("m", "n", "rot")
+    __slots__ = _fields + ("knot", "branch")
 
     def __init__(self, m: int, n: int, rot: int):
-        _gate_check(m, n, rot)
+        knot, branch = _gate_check(m, n, rot)
         _set(self, "m", m)
         _set(self, "n", n)
         _set(self, "rot", rot)
-
-    @property
-    def branch(self) -> int:
-        """+1 for the n = m + 1 branch, -1 for n = m - 1."""
-        return 1 if self.n == self.m + 1 else -1
+        _set(self, "knot", knot)
+        _set(self, "branch", branch)
 
     @property
     def collection(self) -> str:
         return "C2" if self.branch == 1 else "C1"
-
-    @property
-    def knot(self) -> LegendrianUnknot:
-        return LegendrianUnknot(-self.m, self.rot)
 
 
 class PresentationVerdict(Value):
@@ -186,7 +188,7 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
 
     ext = ExternalKnot(LegendrianUnknot(-1, 0), diagram.branch)
     verdicts = []
-    for pres in enumerate_presentations(diagram.knot, Fraction(diagram.n)):
+    for pres in enumerate_presentations(diagram.knot, diagram.n):
         invariants = invariants_after_surgery(pres, ext)
         verdicts.append(
             PresentationVerdict(

@@ -19,8 +19,9 @@ with s stabilizations has 2^s distinct presentations.  What they share
 is one :class:`Surgery`: the conversion plan, every component's tb and
 contact sign (none depends on the signs), and, once something solves
 for invariants, the continuants of the linking matrix.  A presentation
-is its knot, its coefficient and its signs: ``Presentation(k, r, s) ==
-convert(k, r, s)``.  How many signs of each chain entry are positive,
+is its surgery, its signs and its class key, and equals another exactly
+when their knots, coefficients and signs agree: ``Presentation(k, r, s)
+== convert(k, r, s)``.  How many signs of each chain entry are positive,
 its class key, fixes the branch's Legendrian class, so only
 prod(k_i + 1) of the 2^s branches are distinct links, k_i the
 stabilizations of entry i.  A presentation's components are built when
@@ -35,6 +36,10 @@ derived from its index, never stored.  Linking numbers inside the
 resulting link follow the parallel-copy rule: a push-off taken along the
 contact framing links its parent, and every later descendant of it, by
 the parent's tb at push-off time.
+
+No conversion has more than :data:`COMPONENT_BOUND` components: every
+function that converts a coefficient refuses a larger one with
+:class:`InvalidInputError` before it walks or builds past the bound.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ from .exact import IntMatrix, continuants
 from .legendrian import ExternalKnot, LegendrianUnknot
 
 Coefficient = int | Fraction
+
+# the most components any conversion has: 1/10^9 would otherwise walk
+# and hold 10^9 of them; a row of table --m-max 1000 has 1001
+COMPONENT_BOUND = 2 ** 16
 
 _INT_ONLY = frozenset((int,))
 _SIGNS = frozenset((1, -1))
@@ -123,15 +132,16 @@ class Surgery:
     holds the conversion plan (``plus`` (+1) components, then one chain
     entry per stabilization count in ``counts``; ``chunks`` pairs each
     entry that has signs with their slice of the ``budget`` signs) and
-    every component's tb and contact sign.
+    every component's tb and contact sign.  A coefficient that converts
+    into more than :data:`COMPONENT_BOUND` components is refused.
     Two things are computed on first use and kept: the solve's terms
     (:meth:`solve_terms`) and the components of each class under its key
-    (``classes``), whose distinct chain knots are built once.
+    (``classes``).
     """
 
     __slots__ = (
         "knot", "coefficient", "plus", "counts", "budget", "chunks", "tbs",
-        "contact_signs", "classes", "_knots", "_terms",
+        "contact_signs", "classes", "_terms",
     )
 
     def __init__(self, knot: LegendrianUnknot, coefficient: Coefficient):
@@ -142,7 +152,7 @@ class Surgery:
             )
         self.knot = knot
         self.coefficient = coefficient = _as_fraction(coefficient)
-        plus, counts, bounds = _conversion_plan(coefficient.numerator, coefficient.denominator)
+        plus, counts, bounds = _conversion_plan(coefficient)
         self.plus, self.counts, self.budget = plus, counts, bounds[-1]
         self.chunks = tuple(
             (i, slice(start, stop))
@@ -152,7 +162,6 @@ class Surgery:
         self.tbs = (knot.tb,) * plus + tuple(knot.tb - b for b in bounds[1:])
         self.contact_signs = (1,) * plus + (-1,) * len(counts)
         self.classes = {}
-        self._knots = {}
         self._terms = None
 
     def class_components(self, key: tuple) -> tuple:
@@ -163,16 +172,13 @@ class Surgery:
         return components
 
     def _build(self, positives: tuple) -> tuple:
-        knot, knots = self.knot, self._knots
         # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
-        components = [Component(i, knot, 1) for i in range(self.plus)]
-        tb, rot = knot.tb, knot.rot
+        components = [Component(i, self.knot, 1) for i in range(self.plus)]
+        tb, rot = self.knot.tb, self.knot.rot
         for count, pos in zip(self.counts, positives):
             tb -= count
             rot += 2 * pos - count
-            chain_knot = knots.get((tb, rot))
-            if chain_knot is None:
-                chain_knot = knots[tb, rot] = LegendrianUnknot(tb, rot)
+            chain_knot = LegendrianUnknot(tb, rot)
             components.append(Component(len(components), chain_knot, -1, pos, count - pos))
         return tuple(components)
 
@@ -200,16 +206,16 @@ class Surgery:
 class Presentation(Value):
     """An ordered (+/-1)-surgery link replacing one rational contact surgery.
 
-    A presentation is its knot, its coefficient and its stabilization
-    signs, so equality and hashing read only those three.  It also holds
-    its :class:`Surgery`, shared by every branch handed the same one, and
-    its class key, the positive count of each chain entry's signs;
-    ``components`` is the surgery's tuple for that class, built when first
-    read.
+    A presentation holds three things: its stabilization signs, its
+    :class:`Surgery`, shared by every branch handed the same one, and its
+    class key, the positive count of each chain entry's signs.  Its knot
+    and coefficient are read through the surgery, and equality and
+    hashing read only those two and the signs.  ``components`` is the
+    surgery's tuple for the presentation's class, built when first read.
     """
 
     _fields = ("source_knot", "source_coefficient", "sign_choice")
-    __slots__ = _fields + ("surgery", "key")
+    __slots__ = ("sign_choice", "surgery", "key")
 
     def __init__(
         self, source_knot: LegendrianUnknot, source_coefficient: Coefficient,
@@ -231,11 +237,17 @@ class Presentation(Value):
         key = [0] * len(surgery.counts)
         for i, chunk in surgery.chunks:
             key[i] = countOf(sign_choice[chunk], 1)
-        _set(self, "source_knot", surgery.knot)
-        _set(self, "source_coefficient", surgery.coefficient)
         _set(self, "sign_choice", sign_choice)
         _set(self, "surgery", surgery)
         _set(self, "key", tuple(key))
+
+    @property
+    def source_knot(self) -> LegendrianUnknot:
+        return self.surgery.knot
+
+    @property
+    def source_coefficient(self) -> Fraction:
+        return self.surgery.coefficient
 
     @property
     def components(self) -> tuple:
@@ -284,15 +296,16 @@ def expand_negative(r: Coefficient) -> CFExpansion:
     unique expansion of r itself with every tail coefficient at most -2;
     shifting the leading coefficient down by one then accounts for the
     surgery convention above and makes every coefficient at most -2.
+    Such an r converts into its chain alone, one component per entry, so
+    the entries are read off :func:`_conversion_plan`'s stabilization
+    counts, and an expansion longer than :data:`COMPONENT_BOUND` is refused.
     """
     r = _as_fraction(r)
     if r >= 0:
         raise InvalidInputError(
             f"only negative coefficients expand (got {echo_rational(r)})"
         )
-    coeffs = list(_floor_expansion(r.numerator, r.denominator))
-    coeffs[0] -= 1
-    return CFExpansion(tuple(coeffs))
+    return CFExpansion(tuple(-(count + 2) for count in _conversion_plan(r)[1]))
 
 
 def _floor_expansion(p: int, q: int):
@@ -346,23 +359,33 @@ def _peel_plus(p: int, q: int) -> tuple:
     return steps + 1, (-p, p - rest)
 
 
-@functools.lru_cache(maxsize=256)
-def _conversion_plan(numerator: int, denominator: int):
+def _conversion_plan(coefficient: Fraction):
     """The (+1) count, the chain's stabilization counts, and the bounds of their signs.
 
     The bounds are 0 and the running sums of the counts, so the last is
     the stabilization budget.  Integer arithmetic throughout: entry a_i of
     the residual's expansion (:func:`expand_negative`, every entry at most
-    -2) has -(a_i + 2) stabilizations.  Cached, and keyed by two ints,
-    which hash faster than a ``Fraction``, because every branch of one
-    surgery converts the same coefficient.
+    -2) has -(a_i + 2) stabilizations.  The expansion is followed at most
+    one entry past :data:`COMPONENT_BOUND` components, and a coefficient
+    with more is refused.
     """
-    plus, residual = _peel_plus(numerator, denominator)
-    if residual is None:
-        return plus, (), (0,)
-    counts = [-(c + 2) for c in _floor_expansion(*residual)]
-    counts[0] += 1  # the leading entry, shifted down by one
+    plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
+    counts = []
+    if residual is not None and plus <= COMPONENT_BOUND:
+        chain = itertools.islice(_floor_expansion(*residual), COMPONENT_BOUND + 1 - plus)
+        counts = [-(c + 2) for c in chain]
+        counts[0] += 1  # the leading entry, shifted down by one
+    if plus + len(counts) > COMPONENT_BOUND:
+        raise InvalidInputError(component_bound_message(coefficient, COMPONENT_BOUND))
     return plus, tuple(counts), tuple(itertools.accumulate(counts, initial=0))
+
+
+def component_bound_message(coefficient: Fraction, bound: int) -> str:
+    """The message refusing ``coefficient`` for more than ``bound`` components."""
+    return (
+        f"coefficient {echo_rational(coefficient)} converts into more than "
+        f"{bound} components; at most {bound} are supported"
+    )
 
 
 def component_count(coefficient: Coefficient, at_most: int) -> int:
@@ -371,8 +394,8 @@ def component_count(coefficient: Coefficient, at_most: int) -> int:
     Every branch has the same number of components.  Above ``at_most``
     some larger number is returned: the (+1) count is closed-form and the
     chain is followed at most one component past the bound, so a
-    coefficient such as 1/10^9 or -(10^9 + 1)/10^9, whose conversion
-    never ends in practice, is counted in bounded time.
+    coefficient such as 1/10^9 or -(10^9 + 1)/10^9, far past
+    :data:`COMPONENT_BOUND`, is counted in bounded time.
     """
     coefficient = _as_fraction(coefficient)
     plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
@@ -384,8 +407,7 @@ def component_count(coefficient: Coefficient, at_most: int) -> int:
 
 def stabilization_budget(coefficient: Coefficient) -> int:
     """Total stabilizations any conversion of this coefficient must choose signs for."""
-    coefficient = _as_fraction(coefficient)
-    return _conversion_plan(coefficient.numerator, coefficient.denominator)[2][-1]
+    return _conversion_plan(_as_fraction(coefficient))[2][-1]
 
 
 def convert(
@@ -417,18 +439,15 @@ def enumerate_presentations(
     :func:`convert`; every later one is given its key as it is.
     """
     surgery = Surgery(knot, coefficient)
-    knot, coefficient = surgery.knot, surgery.coefficient
     keys = itertools.product(*map(_positive_counts, surgery.counts))
     seen = set()
     presentations = []
     for choice, key in zip(itertools.product((1, -1), repeat=surgery.budget), keys):
         if key not in seen:
             seen.add(key)
-            presentations.append(convert(knot, coefficient, choice, surgery))
+            presentations.append(convert(surgery.knot, surgery.coefficient, choice, surgery))
             continue
         pres = object.__new__(Presentation)
-        _set(pres, "source_knot", knot)
-        _set(pres, "source_coefficient", coefficient)
         _set(pres, "sign_choice", choice)
         _set(pres, "surgery", surgery)
         _set(pres, "key", key)

@@ -85,6 +85,15 @@ def invocations() -> list:
     for path in sorted(map(str, INPUTS.glob("*.json"))):
         grid.append(["convert", "--input", path])
         grid.append(["analyze", "--input", path, "--lk", "1"])
+    # a diagram given in part, and --input beside a diagram flag
+    rational = str(INPUTS / "rational.json")
+    grid.extend([
+        ["convert", "--tb", "-1", "--rot", "0"],
+        ["convert", "--coeff", "2"],
+        ["analyze", "--tb", "-1", "--coeff", "2", "--lk", "1"],
+        ["convert", "--input", rational, "--tb", "-1"],
+        ["analyze", "--input", rational, "--lk", "1", "--signs=+"],
+    ])
     return [argv + ["--format", fmt] for argv in grid for fmt in ("json", "table")]
 
 

@@ -13,7 +13,7 @@ from contact_kirby.kirby import (
     emit_table,
     gate,
 )
-from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
+from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from contact_kirby.presentation import enumerate_presentations, linking_matrix
 from contact_kirby.transform import BennequinVerdict, invariants_after_surgery, invariants_by_inverse
 
@@ -65,6 +65,15 @@ class TestGate:
             assert str(info.value).endswith(f"(got types {type(m).__name__} and {type(n).__name__})")
             assert len(str(info.value)) < 100
 
+    def test_the_diagram_keeps_the_knot_and_branch_its_gate_built(self):
+        for m in range(1, 9):
+            for n in (m - 1, m + 1):
+                for rot in range(1 - m, m, 2):
+                    d = gate(m, n, rot)
+                    assert d.knot is d.knot
+                    assert d.knot == LegendrianUnknot(-m, rot)
+                    assert d.branch == kirby_topological_condition(m, n)
+
     def test_distinct_conditions(self):
         conditions = set()
         for args in ((0, 1, 0), (1, -1, 0), (3, 3, -2), (3, 4, 5), (2, 3.0, -1)):
@@ -76,6 +85,15 @@ class TestGate:
 
 
 class TestClassify:
+    def test_the_largest_table_row_is_under_the_library_bound(self):
+        # 1001 components: the last C2 row of table --m-max 1000
+        report = classify(gate(1000, 1001))
+        assert report.verdicts == (
+            PresentationVerdict((1,), -2, 1999),
+            PresentationVerdict((-1,), -2, -1),
+        )
+        assert len(enumerate_presentations(report.diagram.knot, 1001)[0].components) == 1001
+
     def test_m2_increase_branch(self):
         report = classify(gate(2, 3))
         assert report.collection == "C2"

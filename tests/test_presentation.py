@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from contact_kirby.errors import (
 from contact_kirby.exact import IntMatrix, det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
+    COMPONENT_BOUND,
     CFExpansion,
     Component,
     Presentation,
@@ -220,11 +222,7 @@ class TestEnumerate:
         monkeypatch.setattr(
             presentation, "_floor_expansion", lambda p, q: calls.append((p, q)) or expand(p, q)
         )
-        presentation._conversion_plan.cache_clear()
-        try:
-            branches = enumerate_presentations(LegendrianUnknot(-1, 0), -11)
-        finally:
-            presentation._conversion_plan.cache_clear()
+        branches = enumerate_presentations(LegendrianUnknot(-1, 0), -11)
         assert calls == [(-11, 1)]
         assert len(branches) == 2 ** 10
 
@@ -571,10 +569,8 @@ class TestClassesShareComponents:
                 assert pres.components == rebuilt_components(knot, r, pres.sign_choice)
                 assert pres.components == convert(knot, r, pres.sign_choice).components
                 by_class.setdefault(rot_vector(pres), set()).add(id(pres.components))
-            # one tuple per class, and one knot object per distinct chain knot
+            # one tuple per class
             assert all(len(ids) == 1 for ids in by_class.values())
-            knots = {id(c.knot): c.knot for p in branches for c in p.components}
-            assert len(knots) == len(set(knots.values()))
 
     def test_a_table_does_not_change_the_presentation(self):
         k, r = LegendrianUnknot(-2, 1), Fraction(-7, 3)
@@ -708,6 +704,51 @@ class TestBoundedMessages:
         assert str(info.value) == "signs must be +1 or -1, got [1, True]"
 
 
+class TestALibraryBound:
+    """No conversion is walked or built past COMPONENT_BOUND components."""
+
+    @pytest.mark.parametrize(
+        "coefficient", [Fraction(1, 10 ** 9), Fraction(-(10 ** 9 + 1), 10 ** 9)]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda r: Surgery(STANDARD, r),
+            lambda r: convert(STANDARD, r),
+            lambda r: Presentation(STANDARD, r, ()),
+            lambda r: enumerate_presentations(STANDARD, r),
+            stabilization_budget,
+            expand_negative,
+        ],
+    )
+    def test_every_entry_point_refuses_a_huge_conversion_quickly(self, entry, coefficient):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError) as info:
+            entry(coefficient)
+        assert time.perf_counter() - start < 1
+        assert len(str(info.value)) < 200
+
+    def test_the_bound_is_inclusive(self):
+        assert COMPONENT_BOUND == 2 ** 16
+        # -(N + 1)/N expands into a chain of N entries
+        fits, past = Fraction(-65537, 65536), Fraction(-65538, 65537)
+        assert len(convert(STANDARD, fits, (1,)).components) == COMPONENT_BOUND
+        assert len(expand_negative(fits).coeffs) == COMPONENT_BOUND
+        for entry in (Surgery, convert, enumerate_presentations):
+            with pytest.raises(InvalidInputError, match="more than 65536 components"):
+                entry(STANDARD, past)
+        with pytest.raises(InvalidInputError, match="more than 65536 components"):
+            expand_negative(past)
+
+    def test_the_message_is_the_clis(self):
+        with pytest.raises(InvalidInputError) as info:
+            stabilization_budget(Fraction(1, 10 ** 9))
+        assert str(info.value) == (
+            "coefficient 1/1000000000 converts into more than 65536 components; "
+            "at most 65536 are supported"
+        )
+
+
 class TestComponentsAreBuiltWhenRead:
     """Components come from the surgery, once per class, only when read."""
 
@@ -735,3 +776,11 @@ class TestComponentsAreBuiltWhenRead:
                 assert first == rebuilt_components(knot, r, pres.sign_choice)
                 assert pres.key == class_key(pres)
             assert branches[0].surgery.classes == firsts
+
+    def test_knot_and_coefficient_are_the_surgerys(self):
+        for r in (Fraction(-13, 5), Fraction(7, 3), 2):
+            branches = enumerate_presentations(LegendrianUnknot(-4, 1), r)
+            built = convert(LegendrianUnknot(-4, 1), r, branches[-1].sign_choice)
+            for pres in branches + [built]:
+                assert pres.source_knot is pres.surgery.knot
+                assert pres.source_coefficient is pres.surgery.coefficient
