@@ -49,6 +49,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the console script, as a child process runs it
+ENTRY = "from contact_kirby.cli import entry; entry()"
+
+
+def child_env() -> dict:
+    """This environment, with the checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def load_schema():
     text = (
         resources.files("contact_kirby")
@@ -478,17 +490,12 @@ class TestContract:
         # like `contact-kirby convert ... | head -1`; the output (2048
         # presentations) is far larger than a pipe buffer, so the child is
         # still writing when the reader closes its end
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         child = subprocess.Popen(
             [
-                sys.executable, "-c", "from contact_kirby.cli import entry; entry()",
+                sys.executable, "-c", ENTRY,
                 "convert", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--format", fmt,
             ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         try:
             assert child.stdout.readline() == first
@@ -499,6 +506,72 @@ class TestContract:
             child.wait()
         assert child.returncode == 0
         assert err == b""
+
+
+class TestConsoleScript:
+    """``entry`` in a child process: ``main``, the output flushed, ``os._exit``."""
+
+    FULL = "/dev/full"  # every write to it fails with ENOSPC
+
+    @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # fits in the buffer: fails at entry's flush, or at the one write under -u
+            ("expand", "-2"),
+            # 2048 presentations: fails mid-stream in either mode
+            ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-12"),
+        ],
+    )
+    def test_output_that_cannot_be_written_is_one_error_line_and_exit_1(self, flags, argv):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open(self.FULL, "wb") as full:
+            child = subprocess.run(
+                [sys.executable, *flags, "-c", ENTRY, *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert child.returncode == 1
+        assert child.stderr.decode() == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    def test_help_writes_what_main_writes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        expected = run_cli(capsys, "--help")
+        child = subprocess.run(
+            [sys.executable, "-c", ENTRY, "--help"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == expected
+        assert expected[0] == 0 and expected[1].startswith("usage: contact-kirby")
+
+    # an exception from main is a bug, so it takes the normal exit; an
+    # OSError that writing stdout did not raise is no failed write
+    @pytest.mark.parametrize(
+        "raised, last_line",
+        [
+            ("RuntimeError('boom')", "RuntimeError: boom"),
+            ("PermissionError(13, 'Permission denied')", "PermissionError: [Errno 13] Permission denied"),
+        ],
+    )
+    def test_an_exception_from_main_is_a_traceback_and_exit_1(self, raised, last_line):
+        script = (
+            "from contact_kirby import cli\n"
+            "def main():\n"
+            f"    raise {raised}\n"
+            "cli.main = main\n"
+            "cli.entry()\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr.startswith("Traceback (most recent call last):\n")
+        assert child.stderr.endswith(f"\n{last_line}\n")
 
 
 class TestStreamedOutput:
@@ -1440,11 +1513,7 @@ class TestSharedDocuments:
             for diagram in (self.A, self.B, self.A)
             for fmt in ("json", "table")
         ]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = child_env()
         alone = {}
         for command, diagram, fmt in set(runs):
             argv = (*command, *diagram, "--format", fmt)

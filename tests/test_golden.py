@@ -3,13 +3,37 @@
 The grid, and the script that re-pins it, are in ``golden/pin_digests.py``.
 """
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from contact_kirby.cli import main
 from golden.pin_digests import DIGESTS_PATH, invocations, key, outcome
 
 PINNED = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# keys of the grid run as the console script runs them: exit 0, 2 and 3 in
+# both formats, the 2^16-branch convert (about 28.7 MB of JSON), the
+# screen, a classify, an expand, a document of inputs/ and the refusal of
+# a 129-component coefficient
+CHILD_SAMPLE = [
+    "convert --tb -2 --rot 1 --coeff -7/3 --format json",
+    "convert --tb -2 --rot 1 --coeff -7/3 --format table",
+    "expand x --format json",
+    "expand x --format table",
+    "analyze --tb -1 --rot 0 --coeff -1 --lk -1 --format json",
+    "analyze --tb -1 --rot 0 --coeff -1 --lk -1 --format table",
+    "convert --tb -1 --rot 0 --coeff -17 --format json",
+    "table --m-max 6 --format table",
+    "classify --m 3 --n 4 --format json",
+    "expand -82/125 --format table",
+    "analyze --input inputs/signed.json --lk 1 --format json",
+    "convert --tb -1 --rot 0 --coeff 1/129 --format json",
+]
 
 
 def test_the_grid_is_the_pinned_grid():
@@ -24,4 +48,24 @@ def test_every_invocation_has_its_pinned_outcome():
         if (sys.platform == "linux" or "--input" not in argv)
         and outcome(main, argv) != PINNED[key(argv)]
     ]
+    assert changed == []
+
+
+def test_the_console_script_writes_the_pinned_bytes():
+    # entry() flushes and ends the process itself, so a child's bytes and
+    # exit code must still be the ones main gives in-process; buffered, as
+    # without -u, since there the last bytes wait for that flush
+    argvs = {key(argv): argv for argv in invocations()}
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    changed = []
+    for name in CHILD_SAMPLE:
+        child = subprocess.run(
+            [sys.executable, "-c", "from contact_kirby.cli import entry; entry()", *argvs[name]],
+            capture_output=True, env=env, timeout=120,
+        )
+        got = [child.returncode] + [hashlib.sha256(s).hexdigest() for s in (child.stdout, child.stderr)]
+        if got != PINNED[name]:
+            changed.append(name)
     assert changed == []
