@@ -38,7 +38,6 @@ from .presentation import (
     CFExpansion,
     Component,
     Presentation,
-    component_count,
     convert,
     enumerate_presentations,
     evaluate_cf,

@@ -6,12 +6,14 @@ reaches the CLI's writer and every function a benchmark tracer may
 rebind through their modules (``cli.canonical_json``, ``exact.det``),
 never through a name bound when it was imported.
 
-The branches of one surgery share their linking matrix, since a chain
-component's tb does not depend on the signs: each invocation builds it
-once, and ``convert`` takes its dense det once.  The branches of one
-Legendrian class also share their components, and so every key of their
-documents but ``"signs"``, which sorts last.  Both commands therefore
-render each class once per format: in JSON, its document with
+Each invocation builds one :class:`presentation.Surgery`, bounded at
+``cli.MAX_COMPONENTS`` components, and hands it to every branch it
+lists.  The branches of one surgery share their linking matrix, since a
+chain component's tb does not depend on the signs: each invocation
+builds it once, and ``convert`` takes its dense det once.  The branches
+of one Legendrian class also share their components, and so every key
+of their documents but ``"signs"``, which sorts last.  Both commands
+therefore render each class once per format: in JSON, its document with
 ``"signs": ""``, cut around that ``""``, and each branch is the two
 halves with its own signs between them; in text, its body, printed under
 each branch's heading.  Each distinct component is one shared
@@ -139,10 +141,14 @@ def _diagram_from_args(args):
 
 
 def _branches(knot, coefficient, signs) -> list:
-    """The presentations the command lists: every branch, or the one ``signs`` picks."""
-    cli._check_components(coefficient)
+    """The presentations the command lists: every branch, or the one ``signs`` picks.
+
+    All of them share one :class:`presentation.Surgery`, bounded at
+    ``cli.MAX_COMPONENTS`` components.
+    """
+    surgery = presentation.Surgery(knot, coefficient, cli.MAX_COMPONENTS)
     if signs is None:
-        budget = presentation.stabilization_budget(coefficient)
+        budget = surgery.budget
         if budget > cli.MAX_BRANCH_BITS:
             if budget <= _SPELLED_BRANCH_BITS:
                 count = str(2 ** budget)
@@ -153,8 +159,8 @@ def _branches(knot, coefficient, signs) -> list:
                 f"branches (2^{echo_int(budget)}); without --signs at most "
                 f"{2 ** cli.MAX_BRANCH_BITS} (2^{cli.MAX_BRANCH_BITS}) are listed"
             )
-        return presentation.enumerate_presentations(knot, coefficient)
-    return [presentation.convert(knot, coefficient, signs)]
+        return presentation.enumerate_presentations(knot, coefficient, surgery)
+    return [presentation.convert(knot, coefficient, signs, surgery)]
 
 
 # ---------------------------------------------------------------------------

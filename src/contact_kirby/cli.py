@@ -26,12 +26,14 @@ stderr and ends the process with ``os._exit``, since the interpreter's
 teardown would only free what the process is about to drop.
 
 ``expand``, ``convert`` and ``analyze`` refuse a coefficient that
-converts into more than MAX_COMPONENTS components; without ``--signs``
-the latter two also refuse one with more than 2^MAX_BRANCH_BITS
-stabilization branches.  ``table`` refuses an
-``--m-max`` and ``classify`` an ``--m`` above MAX_M_MAX.  An integer
-too long for Python to write (``sys.get_int_max_str_digits()``) exits 2
-before anything is printed.
+converts into more than MAX_COMPONENTS components: each hands that bound
+to the one conversion plan it builds (``expand_negative`` or
+``presentation.Surgery``), whose walk stops there and writes the message.
+Without ``--signs`` the latter two also refuse one with more than
+2^MAX_BRANCH_BITS stabilization branches, read off that plan.  ``table``
+refuses an ``--m-max`` and ``classify`` an ``--m`` above MAX_M_MAX.  An
+integer too long for Python to write (``sys.get_int_max_str_digits()``)
+exits 2 before anything is printed.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ from .errors import (
     echo_text,
 )
 from .kirby import CONSISTENT_WITH_STANDARD_TIGHT, classify, emit_table, gate
-from .presentation import (
-    component_bound_message, component_count, evaluate_cf, expand_negative,
-)
+from .presentation import evaluate_cf, expand_negative
 
 try:  # the C encoder that json.dumps uses, without importing json
     from _json import encode_basestring_ascii as _quote
@@ -138,6 +138,19 @@ def _flush_stdout() -> None:
         sys.stdout.flush()
     except OSError as exc:
         raise _WriteError from exc
+
+
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr and flush it.
+
+    A stderr that cannot take it (a closed pipe, a full disk) changes no
+    exit code: the text is dropped, as argparse drops its own messages.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 class _Batched:
@@ -297,24 +310,13 @@ def _verdict_label(verdict: dict) -> str:
     return f"{label}: {status}"
 
 
-def _check_components(coefficient) -> None:
-    """Refuse a coefficient that converts into more than MAX_COMPONENTS components.
-
-    A negative coefficient has one component per entry of its expansion.
-    """
-    if component_count(coefficient, MAX_COMPONENTS) > MAX_COMPONENTS:
-        raise InvalidInputError(component_bound_message(coefficient, MAX_COMPONENTS))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_expand(args) -> tuple:
     value = parse_rational(args.coefficient)
-    if value < 0:  # expand_negative refuses the rest with its own message
-        _check_components(value)
-    coeffs = list(expand_negative(value).coeffs)
+    coeffs = list(expand_negative(value, MAX_COMPONENTS).coeffs)
     _check_printable(coeffs)
     round_trip = evaluate_cf([coeffs[0] + 1] + coeffs[1:])
     doc = {
@@ -419,6 +421,9 @@ class _Parser(argparse.ArgumentParser):
     """Keeps ``--`` as the value of an option (``--signs=--``), and writes
     every argument an argparse message echoes as every other message does.
 
+    Help written to stdout that cannot be written raises :class:`_WriteError`,
+    as every other failed write to stdout does, where argparse would drop it.
+
     Each parser records the arguments it is given (a subparser, its slice).
     :meth:`error`, which every argparse message goes through, writes each
     of them, and the value argparse may split off one (after ``=``, or
@@ -443,6 +448,14 @@ class _Parser(argparse.ArgumentParser):
             message = message.replace(repr(text), echo_text(text))
             message = message.replace(text, echo_text(text, str))
         super().error(message)
+
+    def _print_message(self, message, file=None):
+        if file is None or file is not sys.stdout:  # argparse's None is stderr
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise _WriteError from exc
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -557,7 +570,7 @@ def main(argv=None) -> int:
         write.close()
         return 0
     except (InvalidInputError, SingularMatrixError, NonIntegralInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}\n")
         return 2 if isinstance(exc, InvalidInputError) else 3
 
 
@@ -575,8 +588,9 @@ def entry() -> None:
 
     Output that cannot be written ends in one ``error: cannot write
     output: ...`` line and exit 1, except a closed pipe (``| head``): the
-    reader has all it wanted, so that exits 0 with nothing more said.  An
-    exception that escapes :func:`main` is a bug, and takes the normal
+    reader has all it wanted, so that exits 0 with nothing more said.  A
+    stderr that cannot be written changes no exit code (:func:`_to_stderr`).
+    An exception that escapes :func:`main` is a bug, and takes the normal
     exit: a traceback and exit 1.
     """
     try:
@@ -587,11 +601,9 @@ def entry() -> None:
         if isinstance(failure, BrokenPipeError):
             code = 0
         else:
-            print(f"error: cannot write output: {failure.strerror or failure}", file=sys.stderr)
+            _to_stderr(f"error: cannot write output: {failure.strerror or failure}\n")
             code = 1
-    except BrokenPipeError:  # stderr's reader went away, as stdout's may
-        code = 0
-    sys.stderr.flush()
+    _to_stderr("")  # flushes what argparse or a warning left unflushed
     os._exit(code)
 
 

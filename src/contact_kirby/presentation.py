@@ -37,9 +37,12 @@ resulting link follow the parallel-copy rule: a push-off taken along the
 contact framing links its parent, and every later descendant of it, by
 the parent's tb at push-off time.
 
-No conversion has more than :data:`COMPONENT_BOUND` components: every
-function that converts a coefficient refuses a larger one with
-:class:`InvalidInputError` before it walks or builds past the bound.
+One walk, :func:`_conversion_plan`, follows a coefficient's expansion,
+and it decides how large a conversion may be: it stops one component
+past its bound and refuses the coefficient with :class:`InvalidInputError`.
+The bound is :data:`COMPONENT_BOUND` unless the caller passes a smaller
+one, as the command line does (``cli.MAX_COMPONENTS``) to :class:`Surgery`
+and :func:`expand_negative`.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ class Surgery:
     entry per stabilization count in ``counts``; ``chunks`` pairs each
     entry that has signs with their slice of the ``budget`` signs) and
     every component's tb and contact sign.  A coefficient that converts
-    into more than :data:`COMPONENT_BOUND` components is refused.
+    into more than ``bound`` components is refused.
     Two things are computed on first use and kept: the solve's terms
     (:meth:`solve_terms`) and the components of each class under its key
     (``classes``).
@@ -144,7 +147,9 @@ class Surgery:
         "contact_signs", "classes", "_terms",
     )
 
-    def __init__(self, knot: LegendrianUnknot, coefficient: Coefficient):
+    def __init__(
+        self, knot: LegendrianUnknot, coefficient: Coefficient, bound: int = COMPONENT_BOUND,
+    ):
         # exact type: anything else would fail later, on its first tb
         if type(knot) is not LegendrianUnknot:
             raise InvalidInputError(
@@ -152,7 +157,7 @@ class Surgery:
             )
         self.knot = knot
         self.coefficient = coefficient = _as_fraction(coefficient)
-        plus, counts, bounds = _conversion_plan(coefficient)
+        plus, counts, bounds = _conversion_plan(coefficient, bound)
         self.plus, self.counts, self.budget = plus, counts, bounds[-1]
         self.chunks = tuple(
             (i, slice(start, stop))
@@ -289,7 +294,7 @@ def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
     return value
 
 
-def expand_negative(r: Coefficient) -> CFExpansion:
+def expand_negative(r: Coefficient, bound: int = COMPONENT_BOUND) -> CFExpansion:
     """Expand r < 0 so that ``evaluate_cf([a1 + 1, a2, ..., an]) == r``.
 
     The floor-based recursion c = floor(x), x <- 1/(c - x) yields the
@@ -298,14 +303,14 @@ def expand_negative(r: Coefficient) -> CFExpansion:
     surgery convention above and makes every coefficient at most -2.
     Such an r converts into its chain alone, one component per entry, so
     the entries are read off :func:`_conversion_plan`'s stabilization
-    counts, and an expansion longer than :data:`COMPONENT_BOUND` is refused.
+    counts, and an expansion longer than ``bound`` is refused.
     """
     r = _as_fraction(r)
     if r >= 0:
         raise InvalidInputError(
             f"only negative coefficients expand (got {echo_rational(r)})"
         )
-    return CFExpansion(tuple(-(count + 2) for count in _conversion_plan(r)[1]))
+    return CFExpansion(tuple(-(count + 2) for count in _conversion_plan(r, bound)[1]))
 
 
 def _floor_expansion(p: int, q: int):
@@ -359,24 +364,26 @@ def _peel_plus(p: int, q: int) -> tuple:
     return steps + 1, (-p, p - rest)
 
 
-def _conversion_plan(coefficient: Fraction):
+def _conversion_plan(coefficient: Fraction, bound: int):
     """The (+1) count, the chain's stabilization counts, and the bounds of their signs.
 
     The bounds are 0 and the running sums of the counts, so the last is
     the stabilization budget.  Integer arithmetic throughout: entry a_i of
     the residual's expansion (:func:`expand_negative`, every entry at most
-    -2) has -(a_i + 2) stabilizations.  The expansion is followed at most
-    one entry past :data:`COMPONENT_BOUND` components, and a coefficient
-    with more is refused.
+    -2) has -(a_i + 2) stabilizations.  Every branch has the same
+    components, and a coefficient with more than ``bound`` of them is
+    refused: the (+1) count is closed-form and the expansion is followed
+    at most one entry past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is
+    refused in bounded time.
     """
     plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
     counts = []
-    if residual is not None and plus <= COMPONENT_BOUND:
-        chain = itertools.islice(_floor_expansion(*residual), COMPONENT_BOUND + 1 - plus)
+    if residual is not None and plus <= bound:
+        chain = itertools.islice(_floor_expansion(*residual), bound + 1 - plus)
         counts = [-(c + 2) for c in chain]
         counts[0] += 1  # the leading entry, shifted down by one
-    if plus + len(counts) > COMPONENT_BOUND:
-        raise InvalidInputError(component_bound_message(coefficient, COMPONENT_BOUND))
+    if plus + len(counts) > bound:
+        raise InvalidInputError(component_bound_message(coefficient, bound))
     return plus, tuple(counts), tuple(itertools.accumulate(counts, initial=0))
 
 
@@ -388,26 +395,9 @@ def component_bound_message(coefficient: Fraction, bound: int) -> str:
     )
 
 
-def component_count(coefficient: Coefficient, at_most: int) -> int:
-    """Components of any conversion of ``coefficient``, exact up to ``at_most``.
-
-    Every branch has the same number of components.  Above ``at_most``
-    some larger number is returned: the (+1) count is closed-form and the
-    chain is followed at most one component past the bound, so a
-    coefficient such as 1/10^9 or -(10^9 + 1)/10^9, far past
-    :data:`COMPONENT_BOUND`, is counted in bounded time.
-    """
-    coefficient = _as_fraction(coefficient)
-    plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
-    if residual is None or plus > at_most:
-        return plus
-    chain = itertools.islice(_floor_expansion(*residual), at_most + 1 - plus)
-    return plus + sum(1 for _ in chain)
-
-
 def stabilization_budget(coefficient: Coefficient) -> int:
     """Total stabilizations any conversion of this coefficient must choose signs for."""
-    return _conversion_plan(_as_fraction(coefficient))[2][-1]
+    return _conversion_plan(_as_fraction(coefficient), COMPONENT_BOUND)[2][-1]
 
 
 def convert(
@@ -427,25 +417,28 @@ def convert(
 
 
 def enumerate_presentations(
-    knot: LegendrianUnknot, coefficient: Coefficient
+    knot: LegendrianUnknot, coefficient: Coefficient, surgery: Surgery | None = None
 ) -> list:
     """All presentations of one surgery, in plus-first lexicographic sign order.
 
     The first entry is the all-plus branch; a coefficient with s
     stabilizations yields exactly 2^s presentations, all sharing one
-    :class:`Surgery`.  In this order the class keys are the product of
-    each chain entry's positive counts over its own signs, so no branch
+    :class:`Surgery`: ``surgery``, as :func:`convert` takes it, or by
+    default one built here.  In this order the class keys are the product
+    of each chain entry's positive counts over its own signs, so no branch
     counts its signs.  The first branch of each class goes through
-    :func:`convert`; every later one is given its key as it is.
+    :func:`convert`, which refuses a surgery of another knot or
+    coefficient; every later one is given its key as it is.
     """
-    surgery = Surgery(knot, coefficient)
+    if surgery is None:
+        surgery = Surgery(knot, coefficient)
     keys = itertools.product(*map(_positive_counts, surgery.counts))
     seen = set()
     presentations = []
     for choice, key in zip(itertools.product((1, -1), repeat=surgery.budget), keys):
         if key not in seen:
             seen.add(key)
-            presentations.append(convert(surgery.knot, surgery.coefficient, choice, surgery))
+            presentations.append(convert(knot, coefficient, choice, surgery))
             continue
         pres = object.__new__(Presentation)
         _set(pres, "sign_choice", choice)

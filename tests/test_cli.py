@@ -522,6 +522,9 @@ class TestConsoleScript:
             ("expand", "-2"),
             # 2048 presentations: fails mid-stream in either mode
             ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-12"),
+            # argparse writes help itself, and would drop a failed write
+            ("--help",),
+            ("convert", "--help"),
         ],
     )
     def test_output_that_cannot_be_written_is_one_error_line_and_exit_1(self, flags, argv):
@@ -536,6 +539,33 @@ class TestConsoleScript:
         assert child.stderr.decode() == (
             f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         )
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "-2"),
+            ("expand", "x"),
+            # |p + q tb| = 13 does not divide lk 1: exit 3
+            ("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--lk", "1"),
+            # argparse's own usage error
+            ("table", "--m-max", "1", "--bogus"),
+        ],
+    )
+    def test_a_closed_stderr_keeps_the_exit_code_and_stdout(self, capsys, flags, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)  # every write to stderr fails with EPIPE
+        try:
+            child = subprocess.run(
+                [sys.executable, *flags, "-c", ENTRY, *argv],
+                stdout=subprocess.PIPE, stderr=write, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stdout.decode()) == (code, out)
 
     def test_help_writes_what_main_writes(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
@@ -1407,6 +1437,44 @@ class TestOneSolvePerClass:
         # one chain component with 13 stabilizations: 14 classes
         assert len(calls) == 14
         assert len({rot_vector(pres) for pres in calls}) == 14
+
+
+class TestOnePlanPerInvocation:
+    """Each invocation walks its coefficient's expansion once.
+
+    ``expand`` builds one ``expand_negative``, and ``convert`` and
+    ``analyze`` one ``Surgery``, shared by every branch they list; the
+    component cap and the branch cap are read off that one plan.
+    """
+
+    # 5/3 on tb -1: one (+1) push-off, then a chain of two entries, budget 2;
+    # |p + q tb| = 2 makes lk 2 integral
+    DIAGRAM = ("--tb", "-1", "--rot", "0", "--coeff", "5/3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "-5/2"),
+            ("convert", *DIAGRAM),
+            ("convert", *DIAGRAM, "--signs", "+-"),
+            ("analyze", *DIAGRAM, "--lk", "2"),
+            ("analyze", *DIAGRAM, "--lk", "2", "--signs", "-+"),
+        ],
+    )
+    def test_the_expansion_is_walked_once(self, capsys, monkeypatch, argv):
+        from contact_kirby import presentation
+
+        walks = []
+        walk = presentation._floor_expansion
+
+        def counted(p, q):
+            walks.append((p, q))
+            return walk(p, q)
+
+        monkeypatch.setattr(presentation, "_floor_expansion", counted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(walks) == 1
 
 
 @pytest.mark.skipif(

@@ -47,7 +47,7 @@ EXPORTS = """
     InvalidExpansionError InvalidInputError InvalidLegendrianError LegendrianUnknot
     NonIntegralInvariantError OVERTWISTED_CERTIFIED PostSurgeryInvariants
     Presentation PresentationVerdict RationalMatrix SingularMatrixError
-    ZeroSurgeryError apply bennequin classify component_count convert det emit_table
+    ZeroSurgeryError apply bennequin classify convert det emit_table
     enumerate_presentations evaluate_cf expand_negative framing_unknot_tb_shift gate
     inner invariants_after_surgery invariants_by_inverse invert
     kirby_topological_condition linking_matrix linking_vector rot_vector

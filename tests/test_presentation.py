@@ -21,7 +21,7 @@ from contact_kirby.presentation import (
     Component,
     Presentation,
     Surgery,
-    component_count,
+    component_bound_message,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -425,7 +425,7 @@ class TestExactInput:
         [
             stabilization_budget,
             expand_negative,
-            lambda r: component_count(r, 8),
+            lambda r: expand_negative(r, 8),
             lambda r: convert(STANDARD, r),
             # -0.3 used to run out of memory on a budget of 900719925474100
             lambda r: enumerate_presentations(STANDARD, r),
@@ -473,28 +473,64 @@ class TestComponentCount:
             assert peel(r) == stepped_plus_count(r)
         assert peel(Fraction(-7, 3)) == (0, Fraction(-7, 3))
 
-    def test_counts_every_component_of_the_conversion(self):
+    def test_a_surgery_holds_exactly_its_bound(self):
         rng = random.Random(3002)
         for _ in range(300):
             r = Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12))
-            pres = convert(LegendrianUnknot(-1, 0), r, [1] * stabilization_budget(r))
+            pres = convert(STANDARD, r, [1] * stabilization_budget(r))
             n = len(pres.components)
-            assert component_count(r, n) == n
-            assert component_count(r, 1000) == n
+            assert len(Surgery(STANDARD, r, n).tbs) == n
+            assert len(Surgery(STANDARD, r, 1000).tbs) == n
             if n > 1:
-                assert component_count(r, n - 1) > n - 1
+                with pytest.raises(InvalidInputError) as info:
+                    Surgery(STANDARD, r, n - 1)
+                assert str(info.value) == component_bound_message(r, n - 1)
 
-    def test_long_conversions_are_counted_in_bounded_time(self):
+    @pytest.mark.parametrize("bound", [1, 5, 128])
+    def test_an_expansion_holds_exactly_its_bound(self, bound):
+        # -(N + 1)/N expands into a chain of N entries
+        fits, past = Fraction(-(bound + 1), bound), Fraction(-(bound + 2), bound + 1)
+        assert len(expand_negative(fits, bound).coeffs) == bound
+        assert len(Surgery(STANDARD, fits, bound).tbs) == bound
+        for entry in (expand_negative, lambda r, b: Surgery(STANDARD, r, b)):
+            with pytest.raises(InvalidInputError) as info:
+                entry(past, bound)
+            assert str(info.value) == (
+                f"coefficient {past} converts into more than {bound} components; "
+                f"at most {bound} are supported"
+            )
+
+    def test_long_conversions_are_refused_in_bounded_time(self):
         # 10^18 (+1) components, or a chain of 10^18 entries, each refused
         # after one step past the bound instead of being followed to the end
         huge = 10 ** 18
-        assert component_count(Fraction(1, huge), 128) == huge
-        assert component_count(Fraction(-(huge + 1), huge), 128) == 129
-        assert component_count(Fraction(2, 2 * huge + 1), 3) > 3
+        for entry, args in (
+            (Surgery, (STANDARD, Fraction(1, huge), 128)),
+            (Surgery, (STANDARD, Fraction(-(huge + 1), huge), 128)),
+            (Surgery, (STANDARD, Fraction(2, 2 * huge + 1), 3)),
+            (expand_negative, (Fraction(-(huge + 1), huge), 128)),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(InvalidInputError) as info:
+                entry(*args)
+            assert time.perf_counter() - start < 0.25
+            assert str(info.value) == component_bound_message(*args[-2:])
+
+    def test_the_cli_bound_writes_the_clis_message(self, capsys):
+        from contact_kirby.cli import main
+
+        with pytest.raises(InvalidInputError) as info:
+            Surgery(STANDARD, Fraction(1, 10 ** 18), 128)
+        assert main(["convert", "--tb", "-1", "--rot", "0", "--coeff", f"1/{10 ** 18}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+        assert str(info.value) == (
+            "coefficient 1/1000000000000000000 converts into more than 128 components; "
+            "at most 128 are supported"
+        )
 
     def test_zero_is_refused(self):
         with pytest.raises(ZeroSurgeryError):
-            component_count(0, 128)
+            Surgery(STANDARD, 0, 128)
 
 
 def random_small_surgery(rng):
@@ -666,6 +702,15 @@ class TestLibraryInputTypes:
     def test_enumeration_refuses_a_string_knot(self):
         with pytest.raises(InvalidInputError, match=r"LegendrianUnknot \(got type str\)"):
             enumerate_presentations("k", Fraction(-2))
+
+    def test_enumeration_refuses_a_surgery_of_another_diagram(self):
+        surgery = Surgery(STANDARD, Fraction(-3))
+        for knot, r in ((STANDARD, Fraction(-4)), (LegendrianUnknot(-3, 0), Fraction(-3))):
+            with pytest.raises(InvalidInputError, match="another knot or coefficient"):
+                enumerate_presentations(knot, r, surgery)
+        branches = enumerate_presentations(STANDARD, -3, surgery)
+        assert branches == enumerate_presentations(STANDARD, Fraction(-3))
+        assert all(pres.surgery is surgery for pres in branches)
 
     def test_a_surgery_of_another_diagram_is_refused(self):
         surgery = Surgery(LegendrianUnknot(-1, 0), Fraction(-2))
