@@ -10,18 +10,21 @@ an answer (singular linking matrix, non-integral invariant).
 
 Every command builds one v1 document and returns it with its two
 printers, JSON and text, each called as ``printer(document, write)``;
-:func:`main` alone picks one, and hands what it writes to stdout in
-pieces (:class:`_Batched`).  Most documents print their JSON through
-:func:`canonical_json`, which is byte-identical to ``json.dumps(doc,
-indent=2, sort_keys=True)`` (whose indenting encoder is pure Python):
-one recursive function, ``_dump``, returns the text of each value.
+:func:`main` alone picks one, and hands each piece it writes to
+``sys.stdout.write``.  The console script, :func:`entry`, sets stdout
+to buffer first, so its text layer batches those pieces into chunks of
+about 8 KiB, under ``python -u`` too.  Most documents print their JSON
+through :func:`canonical_json`, which is byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)`` (whose indenting encoder
+is pure Python): one recursive function, ``_dump``, returns the text of
+each value.
 
 ``convert`` and ``analyze`` live in :mod:`contact_kirby._presentations`,
 with the text printers of their documents; their handlers import it when
 they run, and only its ``--input`` reader imports ``json``.  So
 ``expand``, ``classify`` and ``table`` compile and import only what they
 run.  Nothing is kept between invocations.  :func:`main` returns the
-exit code; the console script, :func:`entry`, then flushes stdout and
+exit code; :func:`entry` then flushes stdout and
 stderr and ends the process with ``os._exit``, since the interpreter's
 teardown would only free what the process is about to drop.
 
@@ -39,7 +42,7 @@ exits 2 before anything is printed.
 from __future__ import annotations
 
 import argparse
-import io
+import errno
 import os
 import re
 import sys
@@ -73,8 +76,6 @@ MAX_COMPONENTS = 128
 MAX_M_MAX = 1000
 # --input reads at most this many characters: four 128 KiB flags fit
 MAX_INPUT_CHARS = 2 ** 20
-# main hands stdout its text in pieces of this many characters
-_PIECE = io.DEFAULT_BUFFER_SIZE
 
 # JSON text of the scalar types the documents hold, by exact type
 _SCALARS = {
@@ -133,6 +134,13 @@ class _WriteError(Exception):
     """Writing stdout failed; the ``OSError`` it raised is the ``__cause__``."""
 
 
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _WriteError from exc
+
+
 def _flush_stdout() -> None:
     try:
         sys.stdout.flush()
@@ -151,44 +159,6 @@ def _to_stderr(text: str) -> None:
         sys.stderr.flush()
     except OSError:
         pass
-
-
-class _Batched:
-    """A ``write`` that passes its text on in pieces of ``_PIECE`` characters.
-
-    Under ``python -u`` every ``sys.stdout.write`` is one write(2), which
-    per branch or per line costs more than the branch; :meth:`close`
-    passes on the rest.  A piece that cannot be written raises
-    :class:`_WriteError`.
-    """
-
-    __slots__ = ("_write", "_pending", "_size")
-
-    def __init__(self, write):
-        self._write = write
-        self._pending = []
-        self._size = 0
-
-    def __call__(self, text: str) -> None:
-        self._pending.append(text)
-        self._size += len(text)
-        if self._size >= _PIECE:
-            text = "".join(self._pending)
-            end = len(text) - len(text) % _PIECE
-            for start in range(0, end, _PIECE):
-                self._put(text[start:start + _PIECE])
-            self._pending = [text[end:]]
-            self._size = len(text) - end
-
-    def close(self) -> None:
-        if self._size:
-            self._put("".join(self._pending))
-
-    def _put(self, text: str) -> None:
-        try:
-            self._write(text)
-        except OSError as exc:
-            raise _WriteError from exc
 
 
 class Fragment:
@@ -421,8 +391,10 @@ class _Parser(argparse.ArgumentParser):
     """Keeps ``--`` as the value of an option (``--signs=--``), and writes
     every argument an argparse message echoes as every other message does.
 
-    Help written to stdout that cannot be written raises :class:`_WriteError`,
-    as every other failed write to stdout does, where argparse would drop it.
+    argparse writes help itself and drops a failed write; help that
+    cannot be written still ends as every other failed write to stdout
+    does, since under :func:`entry` it waits in stdout's buffer for the
+    final flush.
 
     Each parser records the arguments it is given (a subparser, its slice).
     :meth:`error`, which every argparse message goes through, writes each
@@ -448,14 +420,6 @@ class _Parser(argparse.ArgumentParser):
             message = message.replace(repr(text), echo_text(text))
             message = message.replace(text, echo_text(text, str))
         super().error(message)
-
-    def _print_message(self, message, file=None):
-        if file is None or file is not sys.stdout:  # argparse's None is stderr
-            return super()._print_message(message, file)
-        try:
-            file.write(message)
-        except OSError as exc:
-            raise _WriteError from exc
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -565,9 +529,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         document, print_json, print_text = args.func(args)
-        write = _Batched(sys.stdout.write)
-        (print_json if args.format == "json" else print_text)(document, write)
-        write.close()
+        (print_json if args.format == "json" else print_text)(document, _write)
         return 0
     except (InvalidInputError, SingularMatrixError, NonIntegralInvariantError) as exc:
         _to_stderr(f"error: {exc}\n")
@@ -575,7 +537,19 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The console script: :func:`main`, then its output flushed and the process ended.
+    """The console script: stdout set to buffer, :func:`main`, its output
+    flushed, and the process ended.
+
+    Under ``python -u`` (``PYTHONUNBUFFERED``) stdout's text layer writes
+    through: each ``write`` is one write(2), which per branch or per line
+    costs more than the branch.  So stdout is first set to buffer, in
+    either mode: its text layer then passes text on in chunks of
+    ``io.DEFAULT_BUFFER_SIZE`` (8 KiB), and a text of that size or more
+    goes straight through.  argparse's help is far smaller than a chunk,
+    so it waits in that buffer for the flush here, where a failed write
+    raises; argparse, which writes it itself, would drop the failure.
+    A ``sys.stdout`` of ``None`` (fd 1 closed when the interpreter
+    started) is a stdout that cannot be written.
 
     All a finished run leaves behind is its bytes on stdout and stderr and
     its exit code, so once both streams are flushed the process ends with
@@ -594,6 +568,10 @@ def entry() -> None:
     exit: a traceback and exit 1.
     """
     try:
+        if sys.stdout is None:
+            raise _WriteError from OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # help is far under a chunk, so a failed write of it raises at the flush below
+        sys.stdout.reconfigure(line_buffering=False, write_through=False)
         code = main()
         _flush_stdout()
     except _WriteError as exc:

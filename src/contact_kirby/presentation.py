@@ -226,10 +226,7 @@ class Presentation(Value):
         self, source_knot: LegendrianUnknot, source_coefficient: Coefficient,
         sign_choice: Sequence[int], surgery: Surgery | None = None,
     ):
-        if surgery is None:
-            surgery = Surgery(source_knot, source_coefficient)
-        elif (surgery.knot, surgery.coefficient) != (source_knot, source_coefficient):
-            raise InvalidInputError("the surgery given is of another knot or coefficient")
+        surgery = _surgery_of(source_knot, source_coefficient, surgery)
         sign_choice = tuple(sign_choice)
         # exact types first: True and 1.0 equal 1 but are not signs
         if not (_INT_ONLY.issuperset(map(type, sign_choice)) and _SIGNS.issuperset(sign_choice)):
@@ -261,6 +258,21 @@ class Presentation(Value):
     @property
     def signs_string(self) -> str:
         return signs_string(self.sign_choice)
+
+
+def _surgery_of(knot, coefficient, surgery) -> Surgery:
+    """The :class:`Surgery` of ``knot`` and ``coefficient``: ``surgery``, checked, or a new one.
+
+    The coefficient is compared exactly, so a float or a bool is refused
+    by its type name even where it equals the surgery's.
+    """
+    if surgery is None:
+        return Surgery(knot, coefficient)
+    if type(surgery) is not Surgery:
+        raise InvalidInputError(f"a surgery must be a Surgery (got type {type(surgery).__name__})")
+    if (surgery.knot, surgery.coefficient) != (knot, _as_fraction(coefficient)):
+        raise InvalidInputError("the surgery given is of another knot or coefficient")
+    return surgery
 
 
 def _int_entries(coeffs) -> tuple:
@@ -426,12 +438,11 @@ def enumerate_presentations(
     :class:`Surgery`: ``surgery``, as :func:`convert` takes it, or by
     default one built here.  In this order the class keys are the product
     of each chain entry's positive counts over its own signs, so no branch
-    counts its signs.  The first branch of each class goes through
-    :func:`convert`, which refuses a surgery of another knot or
-    coefficient; every later one is given its key as it is.
+    counts its signs.  A surgery of another knot or coefficient is
+    refused.  The first branch of each class goes through :func:`convert`;
+    every later one is given its key as it is.
     """
-    if surgery is None:
-        surgery = Surgery(knot, coefficient)
+    surgery = _surgery_of(knot, coefficient, surgery)
     keys = itertools.product(*map(_positive_counts, surgery.counts))
     seen = set()
     presentations = []

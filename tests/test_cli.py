@@ -540,6 +540,21 @@ class TestConsoleScript:
             f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         )
 
+    # fd 1 closed before the interpreter starts (`exec 1>&-`): sys.stdout is None
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("expand", "-2"), ("--help",)])
+    def test_a_closed_stdout_fd_is_one_error_line_and_exit_1(self, flags, argv):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", ENTRY, *argv],
+            stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        assert child.returncode == 1
+        assert child.stderr.decode() == (
+            f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+        )
+
     @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "argv",
@@ -635,14 +650,35 @@ class TestStreamedOutput:
 
 
 class TestBatchedStdout:
-    """``main`` hands stdout its text in pieces of ``io.DEFAULT_BUFFER_SIZE``.
+    """``entry`` sets stdout to buffer, so its raw writes are chunks of
+    ``io.DEFAULT_BUFFER_SIZE``, not the pieces ``main`` writes.
 
-    Under ``python -u`` each ``sys.stdout.write`` is one write(2), so the
-    number of calls, not only the bytes, is part of the contract.
+    Under ``python -u`` stdout's text layer writes through, one write(2)
+    per ``sys.stdout.write``, so the number of raw writes, not only the
+    bytes, is part of the contract.
     """
 
     # -82/125: four chain entries, 2^12 branches over 60 classes
     DIAGRAM = ("--tb", "-2", "--rot", "1", "--coeff", "-82/125")
+
+    # entry over a stdout as python -u builds it (a text layer that writes
+    # through), whose raw stream passes its bytes on to fd 1 and writes
+    # the size of each raw write to stderr, one line each
+    RECORDED = (
+        "import io, os, sys\n"
+        "from contact_kirby.cli import entry\n"
+        "class Recorder(io.RawIOBase):\n"
+        "    def writable(self):\n"
+        "        return True\n"
+        "    def write(self, data):\n"
+        "        os.write(2, b'%d\\n' % len(data))\n"
+        "        view = memoryview(data)\n"
+        "        while view:\n"
+        "            view = view[os.write(1, view):]\n"
+        "        return len(data)\n"
+        "sys.stdout = io.TextIOWrapper(Recorder(), encoding='utf-8', write_through=True)\n"
+        "entry()\n"
+    )
 
     class Recorder:
         def __init__(self):
@@ -662,32 +698,29 @@ class TestBatchedStdout:
         monkeypatch.undo()
         return recorder.pieces
 
-    @staticmethod
-    def assert_batched(pieces):
-        text = "".join(pieces)
-        assert len(pieces) <= -(-len(text) // io.DEFAULT_BUFFER_SIZE) + 2
-        assert all(len(piece) == io.DEFAULT_BUFFER_SIZE for piece in pieces[:-1])
-        return text
-
     # |p + q tb| = |-82 - 250| = 332, so lk 332 makes analyze integral
-    @pytest.mark.parametrize("command", [("convert",), ("analyze", "--lk", "332")])
-    def test_json_is_written_in_whole_pieces(self, monkeypatch, command):
-        from contact_kirby import cli
-
-        argv = (*command, *self.DIAGRAM)
-        text = self.assert_batched(self.record(monkeypatch, argv))
-        assert len(json.loads(text)["presentations"]) == 4096
-        args = cli.build_parser().parse_args(list(argv))
-        document, print_json, _ = args.func(args)
-        expected = []
-        print_json(document, expected.append)
-        assert text == "".join(expected) == canonical_json(json.loads(text)) + "\n"
-
-    def test_text_is_written_in_whole_pieces(self, monkeypatch, capsys):
-        argv = ("convert", *self.DIAGRAM, "--format", "table")
-        text = self.assert_batched(self.record(monkeypatch, argv))
-        assert text.count("presentation ") == 4096
-        assert run_cli(capsys, *argv) == (0, text, "")
+    @pytest.mark.parametrize(
+        "command",
+        [("convert",), ("analyze", "--lk", "332"), ("convert", "--format", "table")],
+        ids=["convert-json", "analyze-json", "convert-text"],
+    )
+    def test_entry_writes_unbuffered_stdout_in_whole_chunks(self, capsys, command):
+        argv = (*command[:1], *self.DIAGRAM, *command[1:])
+        expected = run_cli(capsys, *argv)
+        child = subprocess.run(
+            [sys.executable, "-c", self.RECORDED, *argv],
+            capture_output=True, env=child_env(), timeout=60,
+        )
+        sizes = [int(line) for line in child.stderr.splitlines()]
+        text = child.stdout.decode()
+        assert (child.returncode, text, "") == expected
+        assert sum(sizes) == len(child.stdout)
+        if "table" in command:
+            assert text.count("presentation ") == 4096
+        else:
+            assert len(json.loads(text)["presentations"]) == 4096
+            assert text == canonical_json(json.loads(text)) + "\n"
+        assert len(sizes) <= 2 * -(-len(child.stdout) // io.DEFAULT_BUFFER_SIZE) + 1
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_small_documents_are_one_write(self, monkeypatch, fmt):

@@ -719,6 +719,26 @@ class TestLibraryInputTypes:
         with pytest.raises(InvalidInputError, match="another knot or coefficient"):
             convert(LegendrianUnknot(-3, 0), Fraction(-2), (1,), surgery)
 
+    # -2.0 and True equal the surgery's Fraction(-2) and Fraction(1)
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: convert(STANDARD, -2.0, (1,), Surgery(STANDARD, Fraction(-2))), "float"),
+            (lambda: convert(STANDARD, True, (), Surgery(STANDARD, 1)), "bool"),
+            (lambda: enumerate_presentations(STANDARD, -2.0, Surgery(STANDARD, -2)), "float"),
+        ],
+        ids=["convert-float", "convert-bool", "enumerate-float"],
+    )
+    def test_a_shared_surgery_takes_only_an_exact_coefficient(self, call, name):
+        with pytest.raises(InvalidInputError, match=rf"an int or a Fraction \(got type {name}\)"):
+            call()
+
+    def test_a_surgery_that_is_not_a_surgery_is_refused_by_type(self):
+        with pytest.raises(InvalidInputError, match=r"a Surgery \(got type str\)"):
+            convert(STANDARD, 1, (), "x")
+        with pytest.raises(InvalidInputError, match=r"a Surgery \(got type str\)"):
+            enumerate_presentations(STANDARD, -2, "x")
+
 
 class TestBoundedMessages:
     def test_a_long_expansion_is_cut(self):
