@@ -26,7 +26,7 @@ from what they hold, never stored beside it.
 
 from __future__ import annotations
 
-from .errors import GateRejectionError, InvalidLegendrianError, Value, echo_int
+from .errors import GateRejectionError, InvalidInputError, InvalidLegendrianError, Value, echo_int
 from .legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from .presentation import enumerate_presentations, signs_string
 from .transform import BennequinVerdict, bennequin, invariants_after_surgery
@@ -223,6 +223,9 @@ def emit_table(m_max: int) -> list:
 
     Rows come in deterministic order: m ascending, lower framing first.
     """
+    # exact type: True would be taken as 1, and 2.0 fail inside range()
+    if type(m_max) is not int:
+        raise InvalidInputError(f"m_max must be an integer (got type {type(m_max).__name__})")
     reports = []
     for m in range(1, m_max + 1):
         for n in (m - 1, m + 1):

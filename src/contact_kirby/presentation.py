@@ -388,6 +388,11 @@ def _conversion_plan(coefficient: Fraction, bound: int):
     at most one entry past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is
     refused in bounded time.
     """
+    # exact type: 1.5 or True would reach a message or a count as a bound
+    if type(bound) is not int:
+        raise InvalidInputError(
+            f"a component bound must be an integer (got type {type(bound).__name__})"
+        )
     plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
     counts = []
     if residual is not None and plus <= bound:

@@ -51,13 +51,19 @@ def run_cli(capsys, *argv):
 
 # the console script, as a child process runs it
 ENTRY = "from contact_kirby.cli import entry; entry()"
+ROOT = Path(__file__).resolve().parents[1]
+
+# a child test names its stdout mode: PYTHONUNBUFFERED is dropped from its
+# environment, so only -u makes stdout write through
+BOTH_MODES = pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
 
 
 def child_env() -> dict:
-    """This environment, with the checkout's ``src`` first on ``PYTHONPATH``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """This environment without ``PYTHONUNBUFFERED``, with the checkout's
+    ``src`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return env
 
 
@@ -477,22 +483,24 @@ class TestContract:
         assert separate[0] == 0
         assert [p["signs"] for p in json.loads(separate[1])["presentations"]] == [signs]
 
-    def test_closed_stdout_exits_zero_without_traceback(self):
-        self.assert_closed_stdout_exits_zero("json", b"{\n")
+    @BOTH_MODES
+    def test_closed_stdout_exits_zero_without_traceback(self, flags):
+        self.assert_closed_stdout_exits_zero(flags, "json", b"{\n")
 
-    def test_closed_stdout_exits_zero_in_text_format(self):
+    @BOTH_MODES
+    def test_closed_stdout_exits_zero_in_text_format(self, flags):
         self.assert_closed_stdout_exits_zero(
-            "table", b"presentation 1 of 2048 (signs: +++++++++++)\n"
+            flags, "table", b"presentation 1 of 2048 (signs: +++++++++++)\n"
         )
 
     @staticmethod
-    def assert_closed_stdout_exits_zero(fmt, first):
+    def assert_closed_stdout_exits_zero(flags, fmt, first):
         # like `contact-kirby convert ... | head -1`; the output (2048
         # presentations) is far larger than a pipe buffer, so the child is
         # still writing when the reader closes its end
         child = subprocess.Popen(
             [
-                sys.executable, "-c", ENTRY,
+                sys.executable, *flags, "-c", ENTRY,
                 "convert", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--format", fmt,
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
@@ -509,12 +517,26 @@ class TestContract:
 
 
 class TestConsoleScript:
-    """``entry`` in a child process: ``main``, the output flushed, ``os._exit``."""
+    """``entry`` in a child process: ``main``, the output flushed, ``os._exit``.
+
+    A screen runs one child per command, so how a child ends is part of
+    its answer: the exit code, the same bytes with or without ``python
+    -u``, and no warning that turns into a traceback.  ``entry`` sets
+    stdout to buffer, so its text layer batches ``main``'s pieces into
+    chunks under ``-u`` too, and the bytes must not depend on the mode.
+    ``_Parser`` overrides argparse's private ``_get_values`` and
+    ``_negative_number_matcher`` as well as the public
+    ``parse_known_args`` and ``error``, so a deprecation from any of them
+    must fail a test instead of passing unseen: under ``-W error`` it
+    would end a run in a traceback and exit 1.  The golden sample
+    (``tests/test_golden.py``) runs in buffered, ``-u`` and ``-W error``
+    children; the tests here name their mode as a flag.
+    """
 
     FULL = "/dev/full"  # every write to it fails with ENOSPC
 
     @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
-    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @BOTH_MODES
     @pytest.mark.parametrize(
         "argv",
         [
@@ -528,12 +550,10 @@ class TestConsoleScript:
         ],
     )
     def test_output_that_cannot_be_written_is_one_error_line_and_exit_1(self, flags, argv):
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
         with open(self.FULL, "wb") as full:
             child = subprocess.run(
                 [sys.executable, *flags, "-c", ENTRY, *argv],
-                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=full, stderr=subprocess.PIPE, env=child_env(), timeout=60,
             )
         assert child.returncode == 1
         assert child.stderr.decode() == (
@@ -541,21 +561,19 @@ class TestConsoleScript:
         )
 
     # fd 1 closed before the interpreter starts (`exec 1>&-`): sys.stdout is None
-    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @BOTH_MODES
     @pytest.mark.parametrize("argv", [("expand", "-2"), ("--help",)])
     def test_a_closed_stdout_fd_is_one_error_line_and_exit_1(self, flags, argv):
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
         child = subprocess.run(
             [sys.executable, *flags, "-c", ENTRY, *argv],
-            stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+            stderr=subprocess.PIPE, env=child_env(), timeout=60, preexec_fn=lambda: os.close(1),
         )
         assert child.returncode == 1
         assert child.stderr.decode() == (
             f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
         )
 
-    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @BOTH_MODES
     @pytest.mark.parametrize(
         "argv",
         [
@@ -569,28 +587,83 @@ class TestConsoleScript:
     )
     def test_a_closed_stderr_keeps_the_exit_code_and_stdout(self, capsys, flags, argv):
         code, out, _ = run_cli(capsys, *argv)
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
         read, write = os.pipe()
         os.close(read)  # every write to stderr fails with EPIPE
         try:
             child = subprocess.run(
                 [sys.executable, *flags, "-c", ENTRY, *argv],
-                stdout=subprocess.PIPE, stderr=write, env=env, timeout=60,
+                stdout=subprocess.PIPE, stderr=write, env=child_env(), timeout=60,
             )
         finally:
             os.close(write)
         assert (child.returncode, child.stdout.decode()) == (code, out)
 
-    def test_help_writes_what_main_writes(self, capsys, monkeypatch):
+    @BOTH_MODES
+    def test_help_writes_what_main_writes(self, capsys, monkeypatch, flags):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
         expected = run_cli(capsys, "--help")
         child = subprocess.run(
-            [sys.executable, "-c", ENTRY, "--help"],
+            [sys.executable, *flags, "-c", ENTRY, "--help"],
             capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert (child.returncode, child.stdout, child.stderr) == expected
         assert expected[0] == 0 and expected[1].startswith("usage: contact-kirby")
+
+    # what the golden sample does not run: every help, argparse's own
+    # rejections, which each go through _Parser.error, and main's error
+    # exits; the commands run in both formats, and convert and analyze
+    # from --input, which alone imports json
+    @pytest.mark.parametrize(
+        "want, args",
+        [(0, args) for args in (
+            "--help",
+            "expand --help",
+            "convert --help",
+            "analyze --help",
+            "classify --help",
+            "table --help",
+            "expand -3/2",
+            "convert --tb -2 --rot -1 --coeff -3/2 --signs=-",
+            "analyze --tb -2 --rot -1 --coeff 3 --lk 1",
+            "classify --m 2 --n 3",
+            "table --m-max 3",
+            "expand -3/2 --format json",
+            "convert --tb -2 --rot -1 --coeff -3/2 --signs=- --format table",
+            "analyze --tb -2 --rot -1 --coeff 3 --lk 1 --format table",
+            "classify --m 2 --n 3 --format table",
+            "table --m-max 3 --format json",
+            "convert --input tests/golden/inputs/rational.json",
+            "convert --input tests/golden/inputs/rational.json --format table",
+            "analyze --input tests/golden/inputs/rational.json --lk 13",
+            "analyze --input tests/golden/inputs/rational.json --lk 13 --format table",
+        )]
+        + [(2, args) for args in (
+            "convert --tb x",
+            "table --m-max 1 --bogus",
+            "analyze --ext=1",
+            "convert --help=x",
+            "expand -2 extra",
+            "bogus",
+            # main's own error exit
+            "convert --tb -1 --rot 0",
+            "convert --tb -1 --rot 0 --format table",
+            "analyze --coeff 2 --lk 1",
+            "analyze --coeff 2 --lk 1 --format table",
+        )]
+        # |p + q tb| = 13 does not divide lk 1
+        + [(3, f"analyze --tb -1 --rot 0 --coeff -12 --lk 1 --format {fmt}") for fmt in ("json", "table")],
+        ids=lambda value: value if isinstance(value, str) else f"exit {value}",
+    )
+    def test_warnings_are_errors(self, capsys, monkeypatch, want, args):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(ROOT)
+        expected = run_cli(capsys, *args.split())
+        child = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "contact_kirby.cli", *args.split()],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == expected
+        assert expected[0] == want
 
     # an exception from main is a bug, so it takes the normal exit; an
     # OSError that writing stdout did not raise is no failed write

@@ -2,7 +2,7 @@
 
 import pytest
 
-from contact_kirby.errors import GateRejectionError
+from contact_kirby.errors import GateRejectionError, InvalidInputError
 from contact_kirby.exact import det
 from contact_kirby.kirby import (
     CONSISTENT_WITH_STANDARD_TIGHT,
@@ -199,6 +199,12 @@ class TestEmitTable:
 
     def test_empty(self):
         assert emit_table(0) == []
+
+    @pytest.mark.parametrize("m_max, name", [(True, "bool"), (2.0, "float"), ("3", "str")])
+    def test_m_max_is_exactly_an_int(self, m_max, name):
+        with pytest.raises(InvalidInputError) as info:
+            emit_table(m_max)
+        assert str(info.value) == f"m_max must be an integer (got type {name})"
 
     def test_deterministic_order(self):
         reports = emit_table(4)

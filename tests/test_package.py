@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,15 @@ EXPORTS = """
     kirby_topological_condition linking_matrix linking_vector rot_vector
     stabilization_budget stabilize
 """.split()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("contact_kirby/*.py")), ids=lambda p: p.name)
+def test_every_module_compiles_without_a_warning(path):
+    # an invalid escape such as "\d" warns only when the source is compiled,
+    # which a child run from a bytecode cache never does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def test_every_exported_name_resolves():

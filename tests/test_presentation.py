@@ -500,6 +500,20 @@ class TestComponentCount:
                 f"at most {bound} are supported"
             )
 
+    # exact type: a float or a bool bound would be written into the message
+    # or taken as 1, and None or a string would raise a raw TypeError
+    @pytest.mark.parametrize("bound, name", [(1.5, "float"), (True, "bool"), ("x", "str"), (None, "NoneType")])
+    def test_a_bound_is_exactly_an_int(self, bound, name):
+        for build in (
+            lambda: expand_negative(Fraction(-3, 2), bound),
+            lambda: Surgery(STANDARD, Fraction(-3, 2), bound),
+            lambda: Surgery(STANDARD, Fraction(1, 2), bound),
+            lambda: Surgery(STANDARD, 1, bound),
+        ):
+            with pytest.raises(InvalidInputError) as info:
+                build()
+            assert str(info.value) == f"a component bound must be an integer (got type {name})"
+
     def test_long_conversions_are_refused_in_bounded_time(self):
         # 10^18 (+1) components, or a chain of 10^18 entries, each refused
         # after one step past the bound instead of being followed to the end

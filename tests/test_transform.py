@@ -162,6 +162,21 @@ class TestAgainstFramingShift:
         with pytest.raises(InvalidInputError):
             framing_unknot_tb_shift(0, -1)
 
+    # exact types: True and 1.0 equal 1, and -1.0 equals -1
+    @pytest.mark.parametrize(
+        "sign, tb0, message",
+        [
+            (True, -1, "topological surgery sign must be +1 or -1, got True"),
+            (1.0, -1, "topological surgery sign must be +1 or -1, got 1.0"),
+            (1, -1.0, "tb must be an integer (got type float)"),
+            (1, True, "tb must be an integer (got type bool)"),
+        ],
+    )
+    def test_shift_takes_only_ints(self, sign, tb0, message):
+        with pytest.raises(InvalidInputError) as info:
+            framing_unknot_tb_shift(sign, tb0)
+        assert str(info.value) == message
+
 
 class TestBennequin:
     def test_plus_branch_violation(self):
@@ -186,6 +201,15 @@ class TestBennequin:
                 verdict = bennequin(tb, rot)
                 assert verdict.slack == -1 - tb - abs(rot)
                 assert verdict.satisfied == (tb + abs(rot) <= -1)
+
+    @pytest.mark.parametrize(
+        "tb, rot, types",
+        [(-2.5, 0, "float and int"), (True, 0, "bool and int"), (-2, Fraction(1), "int and Fraction")],
+    )
+    def test_takes_only_ints(self, tb, rot, types):
+        with pytest.raises(InvalidInputError) as info:
+            bennequin(tb, rot)
+        assert str(info.value) == f"tb and rot must be integers (got types {types})"
 
 
 class TestBundledInvariants:
