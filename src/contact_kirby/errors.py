@@ -1,5 +1,6 @@
 """Exception taxonomy shared by the whole package, with the rules by
-which messages echo their input and the base of the package's values.
+which messages echo their input, the exact-type rule for parameters, and
+the base of the package's values.
 
 Callers need two distinctions: bad input (the CLI maps these to exit
 code 2) and exact-arithmetic impossibilities (exit code 3).
@@ -62,6 +63,40 @@ def echo_list(values) -> str:
     """
     shown = (echo_int(v) if type(v) is int else repr(v) for v in values)
     return echo_text(f"[{', '.join(shown)}]", str)
+
+
+def require_type(error, what: str, expected: type, *values) -> None:
+    """Raise ``error(message)`` unless each of ``values`` is exactly of type ``expected``.
+
+    The test is on the exact type, not ``isinstance``: ``True`` equals 1
+    and ``3.0`` equals 3, but neither is a tb, a framing, a linking number
+    or a bound.  A bool would be counted as 1 and print as true; a float
+    would reach a message or a count, fail late inside ``range``, or give
+    a Bennequin slack that is not an integer's; and anything else would
+    fail later, on its first use, with a message that does not name it.
+    The message names ``what`` and the type of each value, as in "tb and
+    rot must be integers (got types bool and int)" or "a knot must be a
+    LegendrianUnknot (got type float)".
+    """
+    for value in values:
+        if type(value) is not expected:
+            if expected is not int:
+                noun = f"a {expected.__name__}"
+            else:
+                noun = "integers" if len(values) > 1 else "an integer"
+            s = "s" if len(values) > 1 else ""
+            types = " and ".join(type(v).__name__ for v in values)
+            raise error(f"{what} must be {noun} (got type{s} {types})")
+
+
+def require_sign(what: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is exactly the ``int`` +1 or -1.
+
+    As for :func:`require_type`, ``True`` and ``1.0`` equal 1 but are not
+    signs; the message writes the value by :func:`echo_value`.
+    """
+    if type(value) is not int or value not in (1, -1):
+        raise InvalidInputError(f"{what} must be +1 or -1, got {echo_value(value)}")
 
 
 class Value:

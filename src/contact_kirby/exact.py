@@ -29,7 +29,7 @@ from .errors import InvalidInputError, SingularMatrixError, Value, echo_text
 
 
 def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise InvalidInputError(
             f"matrix entries must be integers, got {echo_text(repr(value), str)}"
         )

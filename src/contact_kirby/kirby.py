@@ -26,7 +26,11 @@ from what they hold, never stored beside it.
 
 from __future__ import annotations
 
-from .errors import GateRejectionError, InvalidInputError, InvalidLegendrianError, Value, echo_int
+from functools import partial
+
+from .errors import (
+    GateRejectionError, InvalidInputError, InvalidLegendrianError, Value, echo_int, require_type,
+)
 from .legendrian import ExternalKnot, LegendrianUnknot, kirby_topological_condition
 from .presentation import enumerate_presentations, signs_string
 from .transform import BennequinVerdict, bennequin, invariants_after_surgery
@@ -44,12 +48,7 @@ def _gate_check(m: int, n: int, rot: int) -> tuple:
 
     Raises naming the first necessary condition that fails.
     """
-    # exact types: n=True would print as true, and 3.0 equals 3 but is not m
-    if type(m) is not int or type(n) is not int:
-        raise GateRejectionError(
-            "m, n integers",
-            f"m and n must be integers (got types {type(m).__name__} and {type(n).__name__})",
-        )
+    require_type(partial(GateRejectionError, "m, n integers"), "m and n", int, m, n)
     if m < 1:
         raise GateRejectionError("m >= 1", f"tb = -m requires m >= 1 (got m={echo_int(m)})")
     if n < 0:
@@ -223,9 +222,7 @@ def emit_table(m_max: int) -> list:
 
     Rows come in deterministic order: m ascending, lower framing first.
     """
-    # exact type: True would be taken as 1, and 2.0 fail inside range()
-    if type(m_max) is not int:
-        raise InvalidInputError(f"m_max must be an integer (got type {type(m_max).__name__})")
+    require_type(InvalidInputError, "m_max", int, m_max)
     reports = []
     for m in range(1, m_max + 1):
         for n in (m - 1, m + 1):

@@ -16,22 +16,16 @@ n - m, which :func:`kirby_topological_condition` tests for +/-1.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, InvalidLegendrianError, Value, echo_int, echo_value
+from .errors import (
+    InvalidInputError, InvalidLegendrianError, Value, echo_int, require_sign, require_type,
+)
 
 _set = object.__setattr__
 
 
 def _check_invariants(tb: int, rot: int) -> None:
-    # exact types: a bool or a float equal to an integer is not one
-    if type(tb) is not int or type(rot) is not int:
-        raise InvalidLegendrianError(
-            f"tb and rot must be integers (got types {type(tb).__name__} "
-            f"and {type(rot).__name__})"
-        )
-    if tb > -1:
-        raise InvalidLegendrianError(
-            f"tb must be at most -1 for a Legendrian unknot (got tb={echo_int(tb)})"
-        )
+    require_type(InvalidLegendrianError, "tb and rot", int, tb, rot)
+    require_unknot_tb(tb)
     if tb + abs(rot) > -1:
         raise InvalidLegendrianError(
             f"Bennequin inequality tb + |rot| <= -1 fails ({_shown(tb, rot)})"
@@ -39,6 +33,14 @@ def _check_invariants(tb: int, rot: int) -> None:
     if (rot - tb - 1) % 2 != 0:
         raise InvalidLegendrianError(
             f"parity rot = tb + 1 (mod 2) fails ({_shown(tb, rot)})"
+        )
+
+
+def require_unknot_tb(tb: int) -> None:
+    """Raise :class:`InvalidLegendrianError` unless ``tb`` is at most -1, as every unknot's is."""
+    if tb > -1:
+        raise InvalidLegendrianError(
+            f"tb must be at most -1 for a Legendrian unknot (got tb={echo_int(tb)})"
         )
 
 
@@ -63,15 +65,8 @@ class ExternalKnot(Value):
     __slots__ = _fields = ("knot", "lk_with_original")
 
     def __init__(self, knot: LegendrianUnknot, lk_with_original: int):
-        if type(knot) is not LegendrianUnknot:
-            raise InvalidInputError(
-                f"a knot must be a LegendrianUnknot (got type {type(knot).__name__})"
-            )
-        # exact type, as for tb and rot: a bool or a float is not a linking number
-        if type(lk_with_original) is not int:
-            raise InvalidInputError(
-                f"lk must be an integer (got type {type(lk_with_original).__name__})"
-            )
+        require_type(InvalidInputError, "a knot", LegendrianUnknot, knot)
+        require_type(InvalidInputError, "lk", int, lk_with_original)
         _set(self, "knot", knot)
         _set(self, "lk_with_original", lk_with_original)
 
@@ -81,8 +76,7 @@ def stabilize(knot: LegendrianUnknot, sign: int) -> LegendrianUnknot:
 
     Stabilization preserves validity, so the result never raises.
     """
-    if type(sign) is not int or sign not in (1, -1):
-        raise InvalidInputError(f"stabilization sign must be +1 or -1, got {echo_value(sign)}")
+    require_sign("stabilization sign", sign)
     return LegendrianUnknot(knot.tb - 1, knot.rot + sign)
 
 
@@ -97,11 +91,7 @@ def kirby_topological_condition(m: int, n: int) -> int | None:
     Returns +1 when n = m + 1, -1 when n = m - 1, and None otherwise; only
     those two framings make the surgery a topological Kirby move of type 1.
     """
-    # exact types: 3.0 equals 3 but is not a framing, and True is not an m
-    if type(m) is not int or type(n) is not int:
-        raise InvalidInputError(
-            f"m and n must be integers (got types {type(m).__name__} and {type(n).__name__})"
-        )
+    require_type(InvalidInputError, "m and n", int, m, n)
     if m < 1:
         raise InvalidInputError(f"m must be at least 1 (got {echo_int(m)})")
     if n == m + 1:

@@ -62,6 +62,7 @@ from .errors import (
     echo_int,
     echo_list,
     echo_rational,
+    require_type,
 )
 from .exact import IntMatrix, continuants
 from .legendrian import ExternalKnot, LegendrianUnknot
@@ -150,11 +151,7 @@ class Surgery:
     def __init__(
         self, knot: LegendrianUnknot, coefficient: Coefficient, bound: int = COMPONENT_BOUND,
     ):
-        # exact type: anything else would fail later, on its first tb
-        if type(knot) is not LegendrianUnknot:
-            raise InvalidInputError(
-                f"a knot must be a LegendrianUnknot (got type {type(knot).__name__})"
-            )
+        require_type(InvalidInputError, "a knot", LegendrianUnknot, knot)
         self.knot = knot
         self.coefficient = coefficient = _as_fraction(coefficient)
         plus, counts, bounds = _conversion_plan(coefficient, bound)
@@ -268,8 +265,7 @@ def _surgery_of(knot, coefficient, surgery) -> Surgery:
     """
     if surgery is None:
         return Surgery(knot, coefficient)
-    if type(surgery) is not Surgery:
-        raise InvalidInputError(f"a surgery must be a Surgery (got type {type(surgery).__name__})")
+    require_type(InvalidInputError, "a surgery", Surgery, surgery)
     if (surgery.knot, surgery.coefficient) != (knot, _as_fraction(coefficient)):
         raise InvalidInputError("the surgery given is of another knot or coefficient")
     return surgery
@@ -386,13 +382,12 @@ def _conversion_plan(coefficient: Fraction, bound: int):
     components, and a coefficient with more than ``bound`` of them is
     refused: the (+1) count is closed-form and the expansion is followed
     at most one entry past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is
-    refused in bounded time.
+    refused in bounded time.  A bound below 1 is refused: every
+    conversion has a component.
     """
-    # exact type: 1.5 or True would reach a message or a count as a bound
-    if type(bound) is not int:
-        raise InvalidInputError(
-            f"a component bound must be an integer (got type {type(bound).__name__})"
-        )
+    require_type(InvalidInputError, "a component bound", int, bound)
+    if bound < 1:
+        raise InvalidInputError(f"a component bound must be at least 1 (got {echo_int(bound)})")
     plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
     counts = []
     if residual is not None and plus <= bound:
@@ -408,7 +403,7 @@ def component_bound_message(coefficient: Fraction, bound: int) -> str:
     """The message refusing ``coefficient`` for more than ``bound`` components."""
     return (
         f"coefficient {echo_rational(coefficient)} converts into more than "
-        f"{bound} components; at most {bound} are supported"
+        f"{echo_int(bound)} components; at most {echo_int(bound)} are supported"
     )
 
 

@@ -65,10 +65,11 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
     Value,
-    echo_value,
+    require_sign,
+    require_type,
 )
 from .exact import apply, inner, invert
-from .legendrian import ExternalKnot
+from .legendrian import ExternalKnot, require_unknot_tb
 from .presentation import Presentation, linking_matrix, linking_vector, rot_vector
 
 
@@ -172,24 +173,16 @@ def framing_unknot_tb_shift(topological_sign: int, tb0: int) -> int:
     Topological (+1)-surgery lowers it by one, (-1)-surgery raises it by
     one: the new Seifert disk is the old annulus capped with a meridional
     disk, so the contact longitude moves by exactly the surgery sign.
+    A ``tb0`` above -1, which no Legendrian unknot has, is refused.
     """
-    # exact types, as for a knot's tb and rot: True and 1.0 equal 1 but are not signs
-    if type(topological_sign) is not int or topological_sign not in (1, -1):
-        raise InvalidInputError(
-            f"topological surgery sign must be +1 or -1, got {echo_value(topological_sign)}"
-        )
-    if type(tb0) is not int:
-        raise InvalidInputError(f"tb must be an integer (got type {type(tb0).__name__})")
+    require_sign("topological surgery sign", topological_sign)
+    require_type(InvalidInputError, "tb", int, tb0)
+    require_unknot_tb(tb0)
     return tb0 - topological_sign
 
 
 def bennequin(tb: int, rot: int) -> BennequinVerdict:
     """Evaluate the Bennequin inequality tb + |rot| <= -1."""
-    # exact types: -2.5 or True would give a slack that is not an integer's
-    if type(tb) is not int or type(rot) is not int:
-        raise InvalidInputError(
-            f"tb and rot must be integers (got types {type(tb).__name__} "
-            f"and {type(rot).__name__})"
-        )
+    require_type(InvalidInputError, "tb and rot", int, tb, rot)
     slack = -1 - tb - abs(rot)
     return BennequinVerdict(slack >= 0, slack)

@@ -1,6 +1,7 @@
 """Exact scalar and matrix algebra, checked against independent oracles."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,16 @@ class TestMatrixTypes:
     def test_int_matrix_rejects_values_equal_to_integers(self, entry):
         with pytest.raises(InvalidInputError, match="must be integers"):
             IntMatrix([[entry]])
+
+    def test_int_matrix_rejects_an_int_subclass(self):
+        # an IntEnum member equals its value, but it prints as itself and
+        # is not written as JSON
+        class Sign(IntEnum):
+            MINUS = -1
+
+        with pytest.raises(InvalidInputError) as info:
+            IntMatrix([[Sign.MINUS]])
+        assert str(info.value) == "matrix entries must be integers, got <Sign.MINUS: -1>"
 
     def test_rational_matrix_shape_checks(self):
         with pytest.raises(InvalidInputError, match="at least one row"):

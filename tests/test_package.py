@@ -1,6 +1,7 @@
 """What importing the package loads, and what it exports."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -141,3 +142,22 @@ def test_the_cli_loads_every_module_a_tracer_reads():
     }
     assert (child.returncode, child.stderr) == (0, "")
     assert loaded <= set(eval(child.stdout))
+
+
+# the messages of the exact-type rule, which only ``errors.require_type``
+# and ``errors.require_sign`` write
+HAND_WRITTEN_TYPE_CHECK = re.compile(
+    r"must be an integer \(got type|must be integers \(got types"
+    r"|must be a LegendrianUnknot|must be a Surgery|\+1 or -1[^\n]*echo_value"
+)
+
+
+def test_only_errors_writes_the_exact_type_messages():
+    held = []
+    for path in sorted(SRC.glob("contact_kirby/*.py")):
+        if path.name != "errors.py":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, 1):
+                found = HAND_WRITTEN_TYPE_CHECK.findall(line)
+                held += [f"{path.name}:{number}: {text}" for text in found]
+    assert held == []

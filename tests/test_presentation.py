@@ -514,6 +514,28 @@ class TestComponentCount:
                 build()
             assert str(info.value) == f"a component bound must be an integer (got type {name})"
 
+    # every conversion has a component, so no bound below 1 is one
+    @pytest.mark.parametrize(
+        "bound, shown", [(0, "0"), (-1, "-1"), (-10 ** 30, "a negative 31-digit integer")]
+    )
+    def test_a_bound_below_one_is_refused(self, bound, shown):
+        for build in (
+            lambda: expand_negative(Fraction(-3, 2), bound),
+            lambda: Surgery(STANDARD, Fraction(-2), bound),
+            lambda: Surgery(STANDARD, 1, bound),
+        ):
+            with pytest.raises(InvalidInputError) as info:
+                build()
+            assert str(info.value) == f"a component bound must be at least 1 (got {shown})"
+
+    def test_a_long_bound_is_written_by_its_digit_count(self):
+        with pytest.raises(InvalidInputError) as info:
+            Surgery(STANDARD, Fraction(1, 10 ** 40), 10 ** 30)
+        assert str(info.value) == (
+            "coefficient 1/a 41-digit integer converts into more than a 31-digit integer "
+            "components; at most a 31-digit integer are supported"
+        )
+
     def test_long_conversions_are_refused_in_bounded_time(self):
         # 10^18 (+1) components, or a chain of 10^18 entries, each refused
         # after one step past the bound instead of being followed to the end

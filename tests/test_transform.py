@@ -8,6 +8,7 @@ import pytest
 
 from contact_kirby.errors import (
     InvalidInputError,
+    InvalidLegendrianError,
     NonIntegralInvariantError,
     SingularMatrixError,
 )
@@ -176,6 +177,15 @@ class TestAgainstFramingShift:
         with pytest.raises(InvalidInputError) as info:
             framing_unknot_tb_shift(sign, tb0)
         assert str(info.value) == message
+
+    # a framing unknot is a Legendrian unknot, so its tb is at most -1
+    @pytest.mark.parametrize(
+        "sign, tb0, shown", [(1, 7, "7"), (-1, 0, "0"), (1, 10 ** 30, "a 31-digit integer")]
+    )
+    def test_shift_refuses_a_tb_no_unknot_has(self, sign, tb0, shown):
+        with pytest.raises(InvalidLegendrianError) as info:
+            framing_unknot_tb_shift(sign, tb0)
+        assert str(info.value) == f"tb must be at most -1 for a Legendrian unknot (got tb={shown})"
 
 
 class TestBennequin:
