@@ -288,18 +288,20 @@ def signs_string(sign_choice: Sequence[int]) -> str:
 
 
 def evaluate_cf(coeffs: Sequence[int]) -> Fraction:
-    """Evaluate ``[c1, ..., cn] = c1 - 1/(c2 - 1/(... - 1/cn))`` exactly."""
+    """Evaluate ``[c1, ..., cn] = c1 - 1/(c2 - 1/(... - 1/cn))`` exactly.
+
+    With ``thetas = continuants(coeffs)``, each tail ``[ck, ..., cn]`` is
+    ``theta_k / theta_{k+1}``, so the value is ``theta_1 / theta_2``, and
+    dividing by a tail with k >= 2 is undefined exactly when its
+    ``theta_k`` is zero.
+    """
     coeffs = _int_entries(coeffs)
     if not coeffs:
         raise InvalidExpansionError("cannot evaluate an empty expansion")
-    value = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        if value == 0:
-            raise InvalidExpansionError(
-                f"division by zero while evaluating {echo_list(coeffs)}"
-            )
-        value = c - 1 / value
-    return value
+    thetas = continuants(coeffs)
+    if 0 in thetas[1:-1]:
+        raise InvalidExpansionError(f"division by zero while evaluating {echo_list(coeffs)}")
+    return Fraction(thetas[0], thetas[1])
 
 
 def expand_negative(r: Coefficient, bound: int = COMPONENT_BOUND) -> CFExpansion:

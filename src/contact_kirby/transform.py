@@ -19,8 +19,10 @@ a_i = (t_i - t_{i-1}) + s_i + s_{i-1} and its off-diagonal entries are
 
     theta_{n+1} = 1,  theta_{n+2} = 0,  theta_k = a_k theta_{k+1} - theta_{k+2}
 
-give det M = theta_1.  Every entry of L is the same linking number lk,
-so P L = lk e_1 and
+give det M = theta_1, and theta_k / theta_{k+1} is the negative
+continued fraction [a_k, ..., a_n] wherever no later theta is zero
+(:func:`presentation.evaluate_cf` returns theta_1 / theta_2).  Every
+entry of L is the same linking number lk, so P L = lk e_1 and
 
     <L, M^-1 L> = lk^2 theta_2 / theta_1
     <C, M^-1 L> = lk sum_k (r_k - r_{k-1}) (s_1 ... s_{k-1}) theta_{k+1} / theta_1
@@ -44,7 +46,9 @@ printed matrix by this path; the screening of whole families
 
 The results are only honest integers when they are integral rationals
 (always the case when |det M| = 1); a non-integral outcome raises
-instead of rounding.
+:class:`errors.NonIntegralInvariantError` instead of rounding.  Its
+``value`` keeps the exact rational, and its message writes each part of
+it by :func:`errors.echo_rational`.
 
 For the special case where K0 is the topological framing unknot of a
 topologically (+/-1)-framed surgery knot, the tb shift is also known on
@@ -56,7 +60,6 @@ quadratic form.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from operator import mul
 
@@ -65,6 +68,7 @@ from .errors import (
     NonIntegralInvariantError,
     SingularMatrixError,
     Value,
+    echo_rational,
     require_sign,
     require_type,
 )
@@ -102,26 +106,14 @@ class BennequinVerdict(Value):
         _set(self, "slack", slack)
 
 
-def _require_integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        try:
-            shown = f": {value}"
-        except ValueError:  # past sys.get_int_max_str_digits()
-            shown = (
-                f"; its exact value has more than {sys.get_int_max_str_digits()} "
-                "digits, Python's limit for writing integers"
-            )
-        raise NonIntegralInvariantError(
-            f"post-surgery {what} is not an integer{shown}", value
-        )
-    return int(value)
-
-
-def _quotient(numerator: int, det: int, what: str) -> int:
-    """``numerator / det`` as an ``int``; a ``Fraction`` is built only to report a non-integer."""
-    quotient, rest = divmod(numerator, det)
+def _quotient(numerator: int, denominator: int, what: str) -> int:
+    """``numerator / denominator`` as an ``int``; a ``Fraction`` is built only to report a non-integer."""
+    quotient, rest = divmod(numerator, denominator)
     if rest:
-        _require_integral(Fraction(numerator, det), what)
+        value = Fraction(numerator, denominator)
+        raise NonIntegralInvariantError(
+            f"post-surgery {what} is not an integer: {echo_rational(value)}", value
+        )
     return quotient
 
 
@@ -157,14 +149,12 @@ def invariants_by_inverse(
     minv = invert(linking_matrix(presentation))
     link = linking_vector(presentation, ext)
     solved = apply(minv, link)
-    tb_new = _require_integral(
-        Fraction(ext.knot.tb) - inner(link, solved), "Thurston-Bennequin number"
+    tb_new = Fraction(ext.knot.tb) - inner(link, solved)
+    rot_new = Fraction(ext.knot.rot) - inner(rot_vector(presentation), solved)
+    return PostSurgeryInvariants(
+        _quotient(tb_new.numerator, tb_new.denominator, "Thurston-Bennequin number"),
+        _quotient(rot_new.numerator, rot_new.denominator, "rotation number"),
     )
-    rot_new = _require_integral(
-        Fraction(ext.knot.rot) - inner(rot_vector(presentation), solved),
-        "rotation number",
-    )
-    return PostSurgeryInvariants(tb_new, rot_new)
 
 
 def framing_unknot_tb_shift(topological_sign: int, tb0: int) -> int:

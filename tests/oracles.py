@@ -3,7 +3,8 @@
 Nothing here may import the algebra it checks: determinants come from
 cofactor expansion, inverses from the adjugate, linear solves from
 plain Fraction Gaussian elimination, and continued fractions from the
-convergent recurrence.  Slow is fine; independent is the point.
+convergent recurrence or by back-evaluation.  Slow is fine; independent
+is the point.
 """
 
 from fractions import Fraction
@@ -71,6 +72,17 @@ def cf_convergent_value(coeffs):
         p_prev, p = p, c * p - p_prev
         q_prev, q = q, c * q - q_prev
     return Fraction(p, q)
+
+
+def cf_back_value(coeffs):
+    """Value of c1 - 1/(c2 - 1/(...)) evaluated from the last entry back.
+
+    A tail that evaluates to zero raises ``ZeroDivisionError``.
+    """
+    value = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        value = c - 1 / value
+    return value
 
 
 def chain_family_matrix(m):

@@ -1657,14 +1657,33 @@ class TestIntegerDigitLimit:
 
     def test_non_integral_values_too_long_to_write(self, capsys):
         # M = (-10^(n-1)) is printable, but tb_new = -1 + lk^2 / 10^(n-1)
-        # is not an integer and its exact value is too long to quote
+        # is not an integer; its reduced numerator has 2n digits
         tb, lk = -(self.longest() + 1), 9 * self.longest() + 1
         code, out, err = run_cli(
             capsys, "analyze", "--tb", str(tb), "--rot", "0", "--coeff", "1", "--lk", str(lk)
         )
         assert (code, out) == (3, "")
         assert "is not an integer" in err
-        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+        n = sys.get_int_max_str_digits()
+        assert err == (
+            "error: post-surgery Thurston-Bennequin number is not an integer: "
+            f"a {2 * n}-digit integer/a {n}-digit integer\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_integral_value_is_written_by_digit_count(self, capsys, fmt):
+        # det M = -13 and tb_new = -1 + lk^2 / 13 for a 2000-digit lk: each
+        # part of the value past 20 digits is written as its digit count
+        lk = 10 ** 1999 + 1
+        code, out, err = run_cli(
+            capsys, "analyze", "--tb", "-1", "--rot", "0", "--coeff", "-12",
+            "--lk", str(lk), "--format", fmt,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: post-surgery Thurston-Bennequin number is not an integer: "
+            "a 3999-digit integer/13\n"
+        )
 
     def test_the_longest_writable_values_are_written(self, capsys):
         tb = -(10 * self.longest() - 1)

@@ -161,3 +161,18 @@ def test_only_errors_writes_the_exact_type_messages():
                 found = HAND_WRITTEN_TYPE_CHECK.findall(line)
                 held += [f"{path.name}:{number}: {text}" for text in found]
     assert held == []
+
+
+def test_only_the_cli_reads_the_integer_digit_limit():
+    # cli.py reads the limit to refuse input and output it cannot convert;
+    # every other module writes a long integer by ``errors.echo_*``
+    held = []
+    for path in sorted(SRC.glob("contact_kirby/*.py")):
+        if path.name != "cli.py":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            held += [
+                f"{path.name}:{number}"
+                for number, line in enumerate(lines, 1)
+                if "get_int_max_str_digits" in line
+            ]
+    assert held == []

@@ -36,7 +36,7 @@ from contact_kirby.presentation import (
 
 from contact_kirby.transform import invariants_after_surgery
 
-from oracles import cf_convergent_value, chain_family_matrix
+from oracles import cf_back_value, cf_convergent_value, chain_family_matrix
 
 
 def random_valid_unknot(rng, max_m=6):
@@ -77,6 +77,25 @@ class TestEvaluateCf:
             except InvalidExpansionError:
                 continue
             assert value == cf_convergent_value(coeffs)
+
+    def test_refuses_exactly_where_back_evaluation_divides_by_zero(self):
+        rng = random.Random(1729)
+        refused = 0
+        for _ in range(2500):
+            coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
+            try:
+                expected = cf_back_value(coeffs)
+            except ZeroDivisionError:
+                text = str(coeffs)
+                if len(text) > 20:
+                    text = f"{text[:20]}... ({len(text)} characters)"
+                with pytest.raises(InvalidExpansionError) as info:
+                    evaluate_cf(coeffs)
+                assert str(info.value) == f"division by zero while evaluating {text}"
+                refused += 1
+            else:
+                assert evaluate_cf(coeffs) == expected
+        assert 100 < refused < 2400  # both outcomes are exercised
 
     def test_zero_denominator(self):
         with pytest.raises(InvalidExpansionError):

@@ -1,7 +1,6 @@
 """Post-surgery invariants and the Bennequin verdict."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -75,22 +74,34 @@ class TestRotAfterSurgery:
         assert info.value.value == Fraction(2, 3)
         assert dense_solve(pres, ext)[1] == Fraction(2, 3)
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits"),
-        reason="this Python writes integers of any length",
-    )
     def test_non_integral_value_too_long_to_write(self):
-        # M = (-10^(n-1)): tb_new = -1 + lk^2 / 10^(n-1) has a numerator
-        # past Python's n-digit limit, so the message names the limit
-        limit = sys.get_int_max_str_digits()
-        big = 10 ** (limit - 1)
+        # M = (-10^(n-1)): tb_new = -1 + lk^2 / 10^(n-1), whose reduced
+        # numerator has 2n digits, is written by its parts' digit counts
+        n = 4300
+        big = 10 ** (n - 1)
         lk = 9 * big + 1
         pres = convert(LegendrianUnknot(-(big + 1), 0), 1, [])
         for solve in (invariants_after_surgery, invariants_by_inverse):
             with pytest.raises(NonIntegralInvariantError) as info:
                 solve(pres, ExternalKnot(FRAMING_UNKNOT, lk))
             assert info.value.value == Fraction(lk * lk, big) - 1
-            assert f"more than {limit} digits" in str(info.value)
+            assert str(info.value) == (
+                "post-surgery Thurston-Bennequin number is not an integer: "
+                "a 8600-digit integer/a 4300-digit integer"
+            )
+
+    def test_non_integral_error_keeps_the_exact_value(self):
+        # det M = -13: tb_new = -1 + lk^2 / 13 for a 2000-digit lk, whose
+        # message writes only digit counts
+        lk = 10 ** 1999 + 1
+        pres = convert(LegendrianUnknot(-1, 0), -12, [1] * 11)
+        ext = ExternalKnot(FRAMING_UNKNOT, lk)
+        for solve in (invariants_after_surgery, invariants_by_inverse):
+            with pytest.raises(NonIntegralInvariantError) as info:
+                solve(pres, ext)
+            assert type(info.value.value) is Fraction
+            assert info.value.value == Fraction(lk * lk - 13, 13)
+            assert info.value.value == dense_solve(pres, ext)[0]
 
     def test_singular_matrix_raises(self):
         # contact 2 on a tb -2 unknot is topologically 0-surgery, det 0
