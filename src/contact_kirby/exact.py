@@ -7,13 +7,16 @@ denominator, zero stored as 0/1).  :class:`IntMatrix` and
 :class:`RationalMatrix` are immutable values on :class:`errors.Value`.
 
 Matrices are small and dense, so determinants and inverses use
-fraction-free (Bareiss) elimination: every intermediate value is an
-integer minor of the input, each division is exact, and Python's
-arbitrary-precision integers absorb the entry growth.  That holds for
-integer entries only, so :func:`det` and :func:`invert` take an
-:class:`IntMatrix` and refuse any other matrix.  The cofactor
-expansion route is deliberately *not* implemented here; it lives in the
-test suite as an independent oracle.
+fraction-free (Bareiss) elimination: every intermediate value is, up to
+sign, an integer minor of the input, each division is exact, and
+Python's arbitrary-precision integers absorb the entry growth.  That
+holds for integer entries only, so :func:`det` and :func:`invert` take
+an :class:`IntMatrix` and refuse any other matrix.  :func:`det` runs the
+forward pass; :func:`invert` runs the same recurrence above each pivot
+too (the Gauss-Jordan form), which leaves d * M^-1 beside the pivots, d
+the last pivot, so one division per entry gives the inverse.  The
+cofactor expansion route is deliberately *not* implemented here; it
+lives in the test suite as an independent oracle.
 
 Tridiagonal matrices whose off-diagonal entries are +/-1 need none of
 that: :func:`continuants` gets every trailing minor from a three-term
@@ -34,6 +37,22 @@ def _as_int(value) -> int:
             f"matrix entries must be integers, got {echo_text(repr(value), str)}"
         )
     return value
+
+
+def _as_fraction(value, what: str = "matrix") -> Fraction:
+    """An ``int`` as its ``Fraction``, a ``Fraction`` as it is; anything else is refused.
+
+    The types are exact: ``0.1`` would hold its binary approximation, a
+    string whatever ``Fraction`` parses from it, and ``True`` would be 1.
+    """
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
+    raise InvalidInputError(
+        f"{what} entries must be integers or Fractions, got {echo_text(repr(value), str)}"
+    )
 
 
 class _SquareMatrix(Value):
@@ -73,18 +92,25 @@ class RationalMatrix(_SquareMatrix):
     """Immutable square matrix with exact rational entries."""
 
     __slots__ = ()
-    _coerce = Fraction
+    _coerce = staticmethod(_as_fraction)
 
 
-def _eliminate(a: list, n: int) -> int:
-    """Fraction-free (Bareiss) forward pass over the first n columns of ``a``.
+def _eliminate(a: list, n: int, every_row=False) -> int:
+    """Fraction-free (Bareiss) elimination over the first n columns of ``a``.
 
-    ``a`` is a list of n integer rows, possibly wider than n (``[M | I]``);
-    it is reduced in place to upper-triangular form.  After step k every
-    entry is a (k+1)x(k+1) minor of the input, so the division by the
-    previous pivot is exact and everything stays an integer.  Returns the
-    sign of the row permutation used, or 0 when some column has no
-    nonzero pivot (the leading n x n block is singular).
+    ``a`` is a list of n integer rows, possibly wider than n (``[M | I]``),
+    reduced in place.  Step k takes the pivot ``a[k][k]``; if it is 0, the
+    first row below with a nonzero entry in column k is swapped up.  It
+    then clears column k in each row below the pivot or, with
+    ``every_row``, in each row but the pivot's (the Gauss-Jordan form),
+    updating the columns right of k.  After step k each entry so updated
+    is, up to sign, a (k+1)x(k+1) minor of ``a`` as given, so the division
+    by the previous pivot is exact and everything stays an integer.  The
+    pivots are the forward pass's either way, and the last is d, the
+    determinant of the row-swapped leading block M.  With ``every_row``
+    the columns past n, B say, end as d * M^-1 * B: on ``[M | I]``, as
+    d * M^-1.  Returns the sign of the row permutation, or 0 when some
+    column has no nonzero pivot (M is singular).
     """
     width = len(a[0])
     sign = 1
@@ -100,7 +126,9 @@ def _eliminate(a: list, n: int) -> int:
                 return 0
         pivot = a[k][k]
         row_k = a[k]
-        for i in range(k + 1, n):
+        for i in range(0 if every_row else k + 1, n):
+            if i == k:
+                continue
             row_i = a[i]
             lead = row_i[k]
             for j in range(k + 1, width):
@@ -134,38 +162,20 @@ def det(matrix: IntMatrix) -> int:
 
 
 def invert(matrix: IntMatrix) -> RationalMatrix:
-    """Exact inverse: fraction-free elimination, then rational back-substitution.
+    """Exact inverse by one fraction-free (Bareiss) pass in Gauss-Jordan form.
 
-    The forward pass runs Bareiss elimination on ``[M | I]``, leaving an
-    integer upper-triangular system.  Back-substitution keeps each partial
-    solution column over a single shared integer denominator (the product
-    of the pivots consumed so far), so only the final entries are reduced.
+    The elimination clears every row of ``[M | I]`` but the pivot's, which
+    leaves d * M^-1 in the right block, d the last pivot; each entry over
+    d is an entry of the inverse.
     """
     a = _rows(matrix, "invert")
     n = len(a)
-    width = 2 * n
     for i, row in enumerate(a):
         row.extend(1 if i == j else 0 for j in range(n))
-    if _eliminate(a, n) == 0:
+    if _eliminate(a, n, every_row=True) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-
-    columns = []
-    for c in range(n, width):
-        num = [0] * n
-        den = 1
-        for i in range(n - 1, -1, -1):
-            row_i = a[i]
-            s = row_i[c] * den
-            for j in range(i + 1, n):
-                s -= row_i[j] * num[j]
-            pivot = row_i[i]
-            num = [v * pivot for v in num]
-            num[i] = s
-            den *= pivot
-        columns.append([Fraction(v, den) for v in num])
-    return RationalMatrix(
-        [[columns[j][i] for j in range(n)] for i in range(n)]
-    )
+    d = a[n - 1][n - 1]
+    return RationalMatrix([[Fraction(x, d) for x in row[n:]] for row in a])
 
 
 def continuants(diagonal: Sequence[int]) -> tuple[int, ...]:
@@ -188,23 +198,22 @@ def continuants(diagonal: Sequence[int]) -> tuple[int, ...]:
 def apply(matrix, vector: Sequence[int | Fraction]) -> tuple:
     """Exact matrix-vector product, returned as a tuple of Fractions."""
     rows = matrix.entries
-    v = tuple(vector)
+    v = [_as_fraction(x, "vector") for x in vector]
     if len(v) != len(rows):
         raise InvalidInputError(
             f"dimension mismatch: matrix is {len(rows)}x{len(rows)}, vector has length {len(v)}"
         )
     return tuple(
-        sum((Fraction(rij) * vj for rij, vj in zip(row, v)), start=Fraction(0))
-        for row in rows
+        sum((rij * vj for rij, vj in zip(row, v)), start=Fraction(0)) for row in rows
     )
 
 
 def inner(u: Sequence[int | Fraction], w: Sequence[int | Fraction]) -> Fraction:
     """Exact dot product of two equal-length vectors."""
-    u = tuple(u)
-    w = tuple(w)
+    u = [_as_fraction(x, "vector") for x in u]
+    w = [_as_fraction(x, "vector") for x in w]
     if len(u) != len(w):
         raise InvalidInputError(
             f"dimension mismatch: vectors have lengths {len(u)} and {len(w)}"
         )
-    return sum((Fraction(a) * b for a, b in zip(u, w)), start=Fraction(0))
+    return sum((a * b for a, b in zip(u, w)), start=Fraction(0))

@@ -36,6 +36,9 @@ EXTERNAL = [("-2", "1"), ("-3", "-2"), ("-4", "1"), ("-2", "0")]
 SIGNS = ["", "+", "-", "+-", "-+", "--+"]
 # 2^16 branches, 2^39 (refused), 128 components and 129 (refused)
 CAPS = ["-17", "-40", "1/128", "1/129"]
+# the dense solve at the 128-component cap: a chain, and (+1) components whose
+# zero diagonal makes the first pivot 0, so the elimination swaps rows
+DENSE_CAPS = [("-129/128", "257"), ("1/128", "127")]
 EXPANSIONS = ["-1", "-2", "-3/2", "-7/3", "-82/125", "-1/0", "0", "1", "1/2", "1.5", "x"]
 # paths that do not exist: short, one under PATH_MAX (4096), at it and past it;
 # a message writes the last two as their first 4096 characters and their length
@@ -81,6 +84,8 @@ def invocations() -> list:
     for coefficient in CAPS:
         grid.append(["convert", "--tb", "-1", "--rot", "0", "--coeff", coefficient])
         grid.append(["expand", coefficient])
+    for coefficient, lk in DENSE_CAPS:
+        grid.append(["analyze", "--tb", "-1", "--rot", "0", "--coeff", coefficient, "--lk", lk])
     grid.extend(["convert", "--input", path] for path in INPUT_PATHS)
     for path in sorted(map(str, INPUTS.glob("*.json"))):
         grid.append(["convert", "--input", path])

@@ -126,6 +126,27 @@ class TestInvert:
                 )
             checked += 1
 
+    def test_signed_unit_matrices_against_the_oracles(self):
+        # entries drawn from (-1, 0, 0, 1): about half the matrices are
+        # singular and about half have a zero leading pivot, so the row
+        # swaps and the rows that invert clears above each pivot are reached
+        rng = random.Random(1968)
+        seen = {"singular": 0, "zero leading pivot": 0}
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
+            matrix = IntMatrix(rows)
+            expected = cofactor_det(rows)
+            assert det(matrix) == expected
+            if expected == 0:
+                with pytest.raises(SingularMatrixError):
+                    invert(matrix)
+            else:
+                assert invert(matrix) == RationalMatrix(adjugate_inverse(rows))
+            seen["singular"] += expected == 0
+            seen["zero leading pivot"] += rows[0][0] == 0
+        assert min(seen.values()) > 100, seen
+
     def test_closed_form_family_far_past_machine_width(self):
         # intermediate denominators here are hundreds of digits long;
         # any fixed-width arithmetic would have overflowed long before
@@ -161,6 +182,12 @@ class TestApply:
         with pytest.raises(InvalidInputError):
             apply(invert(M1), (1, 2, 3))
 
+    def test_refuses_an_entry_that_is_not_an_int_or_a_fraction(self):
+        # a float entry would make the product a tuple of floats
+        with pytest.raises(InvalidInputError) as info:
+            apply(IntMatrix([[1, 2], [3, 4]]), [0.5, 1])
+        assert str(info.value) == "vector entries must be integers or Fractions, got 0.5"
+
 
 class TestInner:
     def test_rotation_column_m2(self):
@@ -178,6 +205,15 @@ class TestInner:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             inner((1, 2), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "u, w, shown", [([1, 2], [0.5, True], "0.5"), (["3"], [2], "'3'"), ([1], [True], "True")]
+    )
+    def test_refuses_an_entry_that_is_not_an_int_or_a_fraction(self, u, w, shown):
+        # a float would give a float, a string be parsed and True count as 1
+        with pytest.raises(InvalidInputError) as info:
+            inner(u, w)
+        assert str(info.value) == f"vector entries must be integers or Fractions, got {shown}"
 
 
 class TestMatrixTypes:
@@ -207,6 +243,29 @@ class TestMatrixTypes:
         with pytest.raises(InvalidInputError) as info:
             IntMatrix([[Sign.MINUS]])
         assert str(info.value) == "matrix entries must be integers, got <Sign.MINUS: -1>"
+
+    def test_rational_matrix_keeps_a_fraction_and_converts_an_int(self):
+        third = Fraction(1, 3)
+        entry, one = RationalMatrix([[third, 1], [0, 1]]).entries[0]
+        assert entry is third
+        assert type(one) is Fraction and one == 1
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            (0.1, "0.1"),
+            ("1/3", "'1/3'"),
+            (True, "True"),
+            (IntEnum("Sign", {"MINUS": -1}).MINUS, "<Sign.MINUS: -1>"),
+            (type("Half", (Fraction,), {})(1, 2), "Half(1, 2)"),
+        ],
+        ids=["float", "str", "bool", "IntEnum", "Fraction subclass"],
+    )
+    def test_rational_matrix_rejects_anything_but_an_int_or_a_fraction(self, entry, shown):
+        # a float would be held as its binary approximation and a string parsed
+        with pytest.raises(InvalidInputError) as info:
+            RationalMatrix([[1, entry], [2, 3]])
+        assert str(info.value) == f"matrix entries must be integers or Fractions, got {shown}"
 
     def test_rational_matrix_shape_checks(self):
         with pytest.raises(InvalidInputError, match="at least one row"):

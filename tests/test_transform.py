@@ -341,6 +341,18 @@ class TestContinuantSolveAgainstDense:
         assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("coefficient, lk", [(Fraction(-129, 128), 257), (Fraction(1, 128), 127)])
+def test_the_dense_solve_at_the_component_cap_equals_the_continuant_solve(coefficient, lk):
+    # 128 components: a chain, and (+1) components whose zero diagonal
+    # makes the elimination swap rows; the continuant solve shares no code
+    # with the elimination
+    knot = LegendrianUnknot(-1, 0)
+    ext = ExternalKnot(knot, lk)
+    for pres in enumerate_presentations(knot, coefficient):
+        assert len(pres.components) == 128
+        assert invariants_by_inverse(pres, ext) == invariants_after_surgery(pres, ext)
+
+
 def test_a_long_topological_sign_is_cut():
     with pytest.raises(InvalidInputError) as info:
         framing_unknot_tb_shift("x" * 100000, -1)
