@@ -170,14 +170,16 @@ def _branches(knot, coefficient, signs) -> list:
 def _shared_matrix(pres) -> tuple:
     """The linking matrix all branches of ``pres``'s surgery share, and its rows.
 
-    Both are checked printable before anything is written.  Every
-    component's |rot| is below its |tb| (the Bennequin inequality), so
-    checking the tbs checks the rots as well.
+    Its entries are checked printable before anything is written, and
+    they bound every integer a component prints.  Every tb but the last
+    is an off-diagonal entry.  The last is the input knot's (a (+1)
+    push-off) or one step nearer zero than its diagonal entry tb - 1 (a
+    chain entry).  Each |rot| is below its |tb|, since every component is
+    a valid unknot, each stabilization count is below the last |tb|, and
+    each topological coefficient is a diagonal entry.
     """
     matrix = presentation.linking_matrix(pres)
-    cli._check_printable(
-        list(pres.surgery.tbs) + [x for row in matrix.entries for x in row]
-    )
+    cli._check_printable([x for row in matrix.entries for x in row])
     return matrix, cli.Fragment(matrix.entries)
 
 

@@ -68,7 +68,9 @@ SCHEMA_VERSION = 1
 # convert/analyze without --signs enumerate at most 2^16 branches
 MAX_BRANCH_BITS = 16
 # expand/convert/analyze refuse a coefficient with more components, with
-# or without --signs: 1/128 takes under a second, 1/256 several
+# or without --signs: on tb -1, 1/128 takes under a second, 1/256 several;
+# the cap does not bound the digits of tb, and convert 1/128 on a
+# 300-digit tb takes about 4 s, on a 600-digit one about 15 s
 MAX_COMPONENTS = 128
 # table --m-max 1000 takes about 1 s (0.87-1.20 s in three child processes,
 # Python 3.11, shared 2-CPU VM), and the work grows as m_max^2;

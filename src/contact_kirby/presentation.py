@@ -136,11 +136,14 @@ class Surgery:
     holds the conversion plan (``plus`` (+1) components, then one chain
     entry per stabilization count in ``counts``; ``chunks`` pairs each
     entry that has signs with their slice of the ``budget`` signs) and
-    every component's tb and contact sign.  A coefficient that converts
-    into more than ``bound`` components is refused.
+    every component's tb and contact sign, as the columns ``tbs`` and
+    ``contact_signs``.  A coefficient that converts into more than
+    ``bound`` components is refused.
     Two things are computed on first use and kept: the solve's terms
     (:meth:`solve_terms`) and the components of each class under its key
-    (``classes``).
+    (``classes``).  A class's components come from those columns in one
+    loop, one row per component; a (+1) push-off is a row with no
+    stabilizations, so it keeps the knot's tb and rot.
     """
 
     __slots__ = (
@@ -167,22 +170,22 @@ class Surgery:
         self._terms = None
 
     def class_components(self, key: tuple) -> tuple:
-        """The components of the class with positive counts ``key``, built on first call."""
-        components = self.classes.get(key)
-        if components is None:
-            components = self.classes[key] = self._build(key)
-        return components
+        """The components of the class with positive counts ``key``, built on first call.
 
-    def _build(self, positives: tuple) -> tuple:
-        # the (+1) surgeries live on unstabilized push-offs: same tb, same rot
-        components = [Component(i, self.knot, 1) for i in range(self.plus)]
-        tb, rot = self.knot.tb, self.knot.rot
-        for count, pos in zip(self.counts, positives):
-            tb -= count
+        One row per component, read off the columns ``tbs`` and
+        ``contact_signs``: chain entry j has ``counts[j]`` stabilizations,
+        ``key[j]`` of them positive, and each moves the rot by its sign.
+        """
+        if key in self.classes:
+            return self.classes[key]
+        # a (+1) push-off is a row with no stabilizations
+        pad, rot, built = (0,) * self.plus, self.knot.rot, []
+        rows = zip(self.tbs, self.contact_signs, pad + self.counts, pad + key)
+        for index, (tb, sign, count, pos) in enumerate(rows):
             rot += 2 * pos - count
-            chain_knot = LegendrianUnknot(tb, rot)
-            components.append(Component(len(components), chain_knot, -1, pos, count - pos))
-        return tuple(components)
+            built.append(Component(index, LegendrianUnknot(tb, rot), sign, pos, count - pos))
+        components = self.classes[key] = tuple(built)
+        return components
 
     def solve_terms(self) -> tuple:
         """``(thetas, offset, weights)``, computed on first call.

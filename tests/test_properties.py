@@ -218,3 +218,30 @@ def test_every_branch_of_one_surgery_equals_the_dense_solve_and_oracle(surgery, 
             assert fast[:1] + fast[2:] == (NonIntegralInvariantError, rot_new)
         else:
             assert fast == (tb_new, rot_new)
+
+
+@st.composite
+def wide_knots(draw):
+    """A knot as :func:`knots` draws one, or one whose tb has many digits."""
+    tb = draw(st.integers(-6, -1) | st.sampled_from((-(10 ** 50 - 1), -(10 ** 50), -(10 ** 300))))
+    return LegendrianUnknot(tb, tb + 1 + 2 * draw(st.integers(0, -tb - 1)))
+
+
+@settings(deadline=None)
+@given(wide_knots(), coefficients)
+def test_the_linking_matrix_bounds_every_integer_a_component_prints(knot, r):
+    """The bound that lets the CLI check only the matrix entries printable.
+
+    Each component's |tb|, |rot| and |topological coefficient|, and its
+    stabilization counts, are at most the largest |entry| of the linking
+    matrix or the knot's |tb|.  A later per-branch field is not covered.
+    """
+    branches = enumerate_presentations(knot, r)
+    # every branch of one surgery has the same linking matrix
+    entries = [x for row in linking_matrix(branches[0]).entries for x in row]
+    bound = max(map(abs, entries + [knot.tb]))
+    for pres in branches:
+        for comp in pres.components:
+            printed = (comp.knot.tb, comp.knot.rot, comp.topological_coefficient)
+            assert max(map(abs, printed)) <= bound
+            assert max(comp.stabs_pos, comp.stabs_neg) <= bound
