@@ -76,12 +76,15 @@ def require_type(error, what: str, expected: type, *values) -> None:
     fail later, on its first use, with a message that does not name it.
     The message names ``what`` and the type of each value, as in "tb and
     rot must be integers (got types bool and int)" or "a knot must be a
-    LegendrianUnknot (got type float)".
+    LegendrianUnknot (got type float)"; a type name that starts with a
+    vowel takes "an", as in "an external knot must be an ExternalKnot".
     """
     for value in values:
         if type(value) is not expected:
             if expected is not int:
-                noun = f"a {expected.__name__}"
+                name = expected.__name__
+                article = "an" if name[0] in "AEIOU" else "a"
+                noun = f"{article} {name}"
             else:
                 noun = "integers" if len(values) > 1 else "an integer"
             s = "s" if len(values) > 1 else ""

@@ -174,6 +174,7 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
     violation certifies an overtwisted result, while a satisfied check
     leaves the branch consistent with the standard tight 3-sphere.
     """
+    require_type(InvalidInputError, "a diagram", CandidateDiagram, diagram)
     if diagram.n == 0:
         verdicts = (
             PresentationVerdict(

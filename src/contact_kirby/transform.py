@@ -125,6 +125,8 @@ def invariants_after_surgery(
     tb is checked for integrality first, so a presentation where both
     come out non-integral raises about tb.
     """
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
+    require_type(InvalidInputError, "an external knot", ExternalKnot, ext)
     thetas, offset, weights = presentation.surgery.solve_terms()
     det = thetas[0]
     if det == 0:
@@ -146,6 +148,8 @@ def invariants_by_inverse(
     cubic rather than linear cost; it reads only the linking matrix and
     the two columns, not their chain structure.
     """
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
+    require_type(InvalidInputError, "an external knot", ExternalKnot, ext)
     minv = invert(linking_matrix(presentation))
     link = linking_vector(presentation, ext)
     solved = apply(minv, link)

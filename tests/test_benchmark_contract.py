@@ -1,7 +1,7 @@
-"""The benchmark's correctness contract, in-process, on every test run.
+"""The benchmark's correctness contract, on every test run.
 
-The benchmark's smoke step in CI checks these pins too; here they run
-beside every other test.  The benchmark's own modules are
+CI has no benchmark step of its own: these tests are the whole
+contract it checks.  The benchmark's own modules are
 imported from ``perfbench/`` and only read: on seed 0, two traced passes
 over each workload must agree on every count and output, each output
 must equal its pinned digest and the untraced run, and the traced counts
@@ -10,8 +10,14 @@ keep the dense-call pins (one document per job, one dense ``invert`` and
 ``det`` per ``convert`` job, none of the three on ``table``).  Seed 1 has
 no pinned digests, so its outputs pass the benchmark's own checker,
 which rebuilds sampled branches and re-solves them with ``gauss_solve``.
+Last, ``perfbench/run.py`` runs each workload on seeds 0 and 1 as a
+child, the way the benchmark is run, so its outputs come from
+``launcher.py`` and ``cli.entry`` rather than from ``cli.main``
+in-process; it must report every output correct.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +93,26 @@ def test_seed_1_passes_the_checker_and_its_re_solve(workload):
         assert code == 0, job.key
         problems, _ = checks.check_output(job, stdout, 1, {}, gauss_solve)
         assert problems == [], job.key
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="the benchmark's launcher needs a SOCK_SEQPACKET socketpair",
+)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_one_child_pass_is_correct(workload, seed):
+    # --seconds 0: the untimed warm-up, one pass over the jobs and the
+    # setup runs, each output checked as in a timed run
+    child = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", "0", "--seconds", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    *_, report, summary = child.stdout.splitlines()
+    failures = json.loads(report)["failures"]
+    summary = json.loads(summary)
+    jobs = workloads.WORKLOADS[workload](seed)
+    attempted = run.MIN_SETUP_SAMPLES + len(jobs)
+    assert (summary["correct"], summary["failed"], summary["attempted"]) == (True, 0, attempted), failures

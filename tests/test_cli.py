@@ -866,6 +866,8 @@ class TestBranchSplice:
         (("convert", "--tb", "-1", "--rot", "0", "--coeff", "11/4"), None),
         (("analyze", "--tb", "-1", "--rot", "0", "--coeff", "-12", "--lk", "13"), 13),
         (("analyze", "--tb", "-4", "--rot", "-1", "--coeff", "9/5", "--lk", "-11"), -11),
+        # 16 classes of 128 components each, one branch per class
+        (("convert", "--tb", "-1", "--rot", "0", "--coeff", "-2638/1633"), None),
     ]
 
     @staticmethod

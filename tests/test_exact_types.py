@@ -1,8 +1,9 @@
 """The exact-type rule: every check of a parameter's type, with its whole message.
 
-A tb, rot, m, n, linking number, bound or sign given as ``True``, ``1.0``
-or ``None`` is refused with the check's own exception class and text,
-and the gate's refusal names its condition.
+A tb, rot, m, n, linking number, bound, sign, knot, presentation or
+diagram given as ``True``, ``1.0`` or ``None`` is refused with the
+check's own exception class and text, and the gate's refusal names its
+condition.
 """
 
 from fractions import Fraction
@@ -10,17 +11,24 @@ from fractions import Fraction
 import pytest
 
 from contact_kirby.errors import GateRejectionError, InvalidInputError, InvalidLegendrianError
-from contact_kirby.kirby import CandidateDiagram, emit_table, gate
+from contact_kirby.kirby import CandidateDiagram, classify, emit_table, gate
 from contact_kirby.legendrian import (
     ExternalKnot,
     LegendrianUnknot,
     kirby_topological_condition,
     stabilize,
 )
-from contact_kirby.presentation import Presentation, Surgery, expand_negative
-from contact_kirby.transform import bennequin, framing_unknot_tb_shift
+from contact_kirby.presentation import Presentation, Surgery, convert, expand_negative
+from contact_kirby.transform import (
+    bennequin,
+    framing_unknot_tb_shift,
+    invariants_after_surgery,
+    invariants_by_inverse,
+)
 
 KNOT = LegendrianUnknot(-1, 0)
+EXT = ExternalKnot(KNOT, 1)
+PRES = convert(KNOT, -1, [])
 
 # (check, call, exception class, whole message)
 CASES = [
@@ -60,6 +68,12 @@ CASES = [
      "m and n must be integers (got types int and float)"),
     ("kirby._gate_check", lambda: CandidateDiagram(None, 2, 0), GateRejectionError,
      "m and n must be integers (got types NoneType and int)"),
+    ("kirby.classify", lambda: classify(True), InvalidInputError,
+     "a diagram must be a CandidateDiagram (got type bool)"),
+    ("kirby.classify", lambda: classify(1.0), InvalidInputError,
+     "a diagram must be a CandidateDiagram (got type float)"),
+    ("kirby.classify", lambda: classify(None), InvalidInputError,
+     "a diagram must be a CandidateDiagram (got type NoneType)"),
     ("kirby.emit_table", lambda: emit_table(True), InvalidInputError,
      "m_max must be an integer (got type bool)"),
     ("kirby.emit_table", lambda: emit_table(1.0), InvalidInputError,
@@ -94,6 +108,17 @@ CASES = [
      InvalidInputError, "tb must be an integer (got type float)"),
     ("transform.framing_unknot_tb_shift tb0", lambda: framing_unknot_tb_shift(1, None),
      InvalidInputError, "tb must be an integer (got type NoneType)"),
+    ("transform.invariants_after_surgery presentation",
+     lambda: invariants_after_surgery(True, EXT), InvalidInputError,
+     "a presentation must be a Presentation (got type bool)"),
+    ("transform.invariants_after_surgery ext", lambda: invariants_after_surgery(PRES, 1.0),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type float)"),
+    ("transform.invariants_after_surgery ext", lambda: invariants_after_surgery(PRES, None),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type NoneType)"),
+    ("transform.invariants_by_inverse presentation", lambda: invariants_by_inverse(None, EXT),
+     InvalidInputError, "a presentation must be a Presentation (got type NoneType)"),
+    ("transform.invariants_by_inverse ext", lambda: invariants_by_inverse(PRES, True),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type bool)"),
     ("transform.bennequin", lambda: bennequin(True, 0), InvalidInputError,
      "tb and rot must be integers (got types bool and int)"),
     ("transform.bennequin", lambda: bennequin(-2, 1.0), InvalidInputError,

@@ -161,6 +161,12 @@ class TestClassify:
         assert PresentationVerdict((-1,), -2, -1).status == CONSISTENT_WITH_STANDARD_TIGHT
         assert PresentationVerdict((), None, None, ZERO_SURGERY_REASON).bennequin is None
 
+    def test_takes_exactly_a_candidate_diagram(self):
+        # (m, n) is not a gated diagram; it has no .n to read
+        with pytest.raises(InvalidInputError) as info:
+            classify((2, 3))
+        assert str(info.value) == "a diagram must be a CandidateDiagram (got type tuple)"
+
     def test_every_computed_verdict_carries_bennequin(self):
         for report in emit_table(6):
             for verdict in report.verdicts:

@@ -149,6 +149,7 @@ def test_the_cli_loads_every_module_a_tracer_reads():
 HAND_WRITTEN_TYPE_CHECK = re.compile(
     r"must be an integer \(got type|must be integers \(got types"
     r"|must be a LegendrianUnknot|must be a Surgery|\+1 or -1[^\n]*echo_value"
+    r"|must be an? (?:Presentation|ExternalKnot|CandidateDiagram)"
 )
 
 

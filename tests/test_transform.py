@@ -360,3 +360,20 @@ def test_a_long_topological_sign_is_cut():
     with pytest.raises(InvalidInputError) as info:
         framing_unknot_tb_shift(2, -1)
     assert str(info.value) == "topological surgery sign must be +1 or -1, got 2"
+
+
+@pytest.mark.parametrize("solve", [invariants_after_surgery, invariants_by_inverse])
+def test_each_solve_takes_exactly_a_presentation_and_an_external_knot(solve):
+    ext = ExternalKnot(FRAMING_UNKNOT, 1)
+    # det 0, so a solve that read the presentation first would raise
+    # SingularMatrixError before it ever looked at the external knot
+    singular = convert(LegendrianUnknot(-2, -1), 2, [1])
+    cases = [
+        ((1, ext), "a presentation must be a Presentation (got type int)"),
+        ((singular, (FRAMING_UNKNOT, 1)), "an external knot must be an ExternalKnot (got type tuple)"),
+        ((ext, singular), "a presentation must be a Presentation (got type ExternalKnot)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidInputError) as info:
+            solve(*args)
+        assert str(info.value) == message
