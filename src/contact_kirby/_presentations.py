@@ -10,16 +10,22 @@ Each invocation builds one :class:`presentation.Surgery`, bounded at
 ``cli.MAX_COMPONENTS`` components, and hands it to every branch it
 lists.  The branches of one surgery share their linking matrix, since a
 chain component's tb does not depend on the signs: each invocation
-builds it once, and ``convert`` takes its dense det once.  The branches
-of one Legendrian class also share their components, and so every key
-of their documents but ``"signs"``, which sorts last.  Both commands
-therefore render each class once per format: in JSON, its document with
-``"signs": ""``, cut around that ``""``, and each branch is the two
-halves with its own signs between them; in text, its body, printed under
-each branch's heading.  Each distinct component is one shared
-:class:`cli.Fragment`.  ``analyze`` runs one dense ``invert`` and one
-dense ``det`` per class, all before the first byte, so an exit 3 prints
-nothing.
+builds it once, ``convert`` takes its dense det once, and each printer
+renders it once.  The branches of one Legendrian class also share their
+components, and so every key of their documents but ``"signs"``, which
+sorts last.  Both commands therefore render each class once per format,
+without the matrix: in JSON, its document with an empty matrix and
+``"signs": ""``, cut around both, and each branch is the three pieces
+with the one matrix text and its own signs between them; in text, its
+component lines and its determinant and invariants lines, printed under
+each branch's heading with the matrix lines between them.  Each
+distinct component is one shared :class:`cli.Fragment`.  What still
+grows with classes times components is each class's component text,
+``Surgery.classes``' :class:`presentation.Component` tuples, and the
+output itself, which prints the whole matrix for every branch: about
+18 GB of JSON for 2^16 classes of 128 components.  ``analyze`` runs
+one dense ``invert`` and one dense ``det`` per class, all before the
+first byte, so an exit 3 prints nothing.
 """
 
 from __future__ import annotations
@@ -38,12 +44,11 @@ _SPELLED_BRANCH_BITS = 64
 def cmd_convert(args) -> tuple:
     knot, coefficient, signs, echo = _diagram_from_args(args)
     presentations = _branches(knot, coefficient, signs)
-    matrix, rows = _shared_matrix(presentations[0])
+    matrix = _shared_matrix(presentations[0])
     determinant = exact.det(matrix)
     cli._check_printable((determinant,))
     return _presentations_doc(
-        "convert", echo, presentations,
-        lambda pres: {"linking_matrix": rows, "determinant": determinant},
+        "convert", echo, presentations, matrix, lambda pres: {"determinant": determinant}
     )
 
 
@@ -56,7 +61,7 @@ def cmd_analyze(args) -> tuple:
         "lk": ext.lk_with_original,
     }
     presentations = _branches(knot, coefficient, signs)
-    matrix, rows = _shared_matrix(presentations[0])
+    matrix = _shared_matrix(presentations[0])
 
     # Branches share M and L and differ only in their rotation numbers, so
     # the first branch of each Legendrian class solves for all of it.
@@ -67,7 +72,6 @@ def cmd_analyze(args) -> tuple:
         determinant = exact.det(matrix)
         cli._check_printable((determinant, invariants.tb_new, invariants.rot_new, check.slack))
         return {
-            "linking_matrix": rows,
             "determinant": determinant,
             "invariants": {
                 "tb_new": invariants.tb_new,
@@ -76,7 +80,7 @@ def cmd_analyze(args) -> tuple:
             },
         }
 
-    return _presentations_doc("analyze", echo, presentations, class_doc)
+    return _presentations_doc("analyze", echo, presentations, matrix, class_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +171,8 @@ def _branches(knot, coefficient, signs) -> list:
 # the document and its printers
 
 
-def _shared_matrix(pres) -> tuple:
-    """The linking matrix all branches of ``pres``'s surgery share, and its rows.
+def _shared_matrix(pres) -> exact.IntMatrix:
+    """The linking matrix all branches of ``pres``'s surgery share.
 
     Its entries are checked printable before anything is written, and
     they bound every integer a component prints.  Every tb but the last
@@ -180,26 +184,27 @@ def _shared_matrix(pres) -> tuple:
     """
     matrix = presentation.linking_matrix(pres)
     cli._check_printable([x for row in matrix.entries for x in row])
-    return matrix, cli.Fragment(matrix.entries)
+    return matrix
 
 
-def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
+def _presentations_doc(command, echo, presentations, matrix, class_doc) -> tuple:
     """The convert/analyze document and its two printers.
 
     The branches of one Legendrian class share one class key, and
     ``class_doc(pres)`` builds the rest of the class's document, but for
-    its signs (``""``), from the class's first branch.  Every class is
-    built here, so one that raises prints nothing.  The document holds
-    the branches themselves; each printer renders every class once, as
-    JSON halves or as a text body, before its first write, and then
-    writes each branch from its class's rendering.
+    its components, its signs and the linking ``matrix`` every branch
+    shares, from the class's first branch.  Every class is built here, so
+    one that raises prints nothing.  The document holds the branches
+    themselves.  Each printer renders the matrix once and every class
+    once, without the matrix, before its first write, and then writes
+    each branch as its class's text with the one matrix text, and in
+    JSON its own signs, spliced in.
     """
     classes, parts = {}, {}
     for pres in presentations:
         if pres.key not in classes:
             doc = class_doc(pres)
             doc["components"] = _component_docs(pres.components, parts)
-            doc["signs"] = ""
             classes[pres.key] = doc
     doc = {
         "schema_version": cli.SCHEMA_VERSION,
@@ -209,31 +214,34 @@ def _presentations_doc(command, echo, presentations, class_doc) -> tuple:
     }
 
     def print_json(document, write) -> None:
-        halves = {key: _class_halves(template) for key, template in classes.items()}
+        # a presentations item's text around its empty matrix and its empty signs
+        cuts = {}
+        for key, template in classes.items():
+            text = "    " + cli._dump(dict(template, linking_matrix=[], signs=""), "    ")
+            before, _, rest = text.rpartition("[]")
+            middle, _, after = rest.rpartition('""')
+            cuts[key] = before, middle, after
+        matrix_text = cli._dump(matrix.entries, "      ")
         # the document's text around its empty list holds the branches
         head, _, tail = cli.canonical_json(dict(document, presentations=[])).rpartition("[]")
         separator = head + "[\n"
         quote = cli._quote
         for pres in document["presentations"]:
-            before, after = halves[pres.key]
-            write(f"{separator}{before}{quote(pres.signs_string)}{after}")
+            before, middle, after = cuts[pres.key]
+            write(f"{separator}{before}{matrix_text}{middle}{quote(pres.signs_string)}{after}")
             separator = ",\n"
         write(f"\n  ]{tail}\n")
 
     def print_text(document, write) -> None:
-        bodies = {key: _presentation_body(template) for key, template in classes.items()}
+        matrix_text = _matrix_text(matrix.entries)
+        bodies = {key: _class_text(template) for key, template in classes.items()}
         total = len(document["presentations"])
         for idx, pres in enumerate(document["presentations"]):
+            above, below = bodies[pres.key]
             heading = _presentation_heading(idx, total, pres.signs_string)
-            write(heading + bodies[pres.key])
+            write(heading + above + matrix_text + below)
 
     return doc, print_json, print_text
-
-
-def _class_halves(doc) -> tuple:
-    """A class's document as a presentations item, cut around its signs' ``""``."""
-    before, _, after = ("    " + cli._dump(doc, "    ")).rpartition('""')
-    return before, after
 
 
 def _component_docs(components, parts) -> list:
@@ -264,40 +272,41 @@ def _component_doc(comp) -> dict:
     }
 
 
-def _unwrap(value):
-    """The document a fragment stands for; any other value as it is."""
-    return value.value if type(value) is cli.Fragment else value
-
-
 def _presentation_heading(idx, total, signs) -> str:
     return f"presentation {idx + 1} of {total} (signs: {signs or '(none)'})\n"
 
 
-def _presentation_body(doc) -> str:
-    """A presentation document's lines under its heading, invariants included."""
-    lines = []
-    for comp in map(_unwrap, doc["components"]):
+def _class_text(doc) -> tuple:
+    """A class document's lines above the linking matrix and below it.
+
+    They are printed under each of the class's branches' headings.  Its
+    components are fragments, as :func:`_component_docs` builds them.
+    """
+    above = []
+    for part in doc["components"]:
+        comp = part.value
         parent = "-" if comp["parent"] is None else str(comp["parent"])
         stabs = comp["stabilizations"]
-        lines.append(
+        above.append(
             f"  component {comp['index']}: tb={comp['tb']} rot={comp['rot']} "
             f"contact={comp['contact_coeff']:+d} "
             f"topological={comp['topological_coeff']:+d} "
-            f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}"
+            f"parent={parent} stabs=+{stabs['plus']}/-{stabs['minus']}\n"
         )
-    matrix = _unwrap(doc["linking_matrix"])
-    lines.append("  linking matrix:")
-    width = max(len(str(x)) for row in matrix for x in row)
-    for row in matrix:
-        lines.append("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]")
-    lines.append(f"  determinant: {doc['determinant']}")
+    below = f"  determinant: {doc['determinant']}\n"
     invariants = doc.get("invariants")
     if invariants is not None:
         check = invariants["bennequin"]
         verdict = "satisfied" if check["satisfied"] else "violated"
-        lines.append(
+        below += (
             f"  tb_new={invariants['tb_new']} rot_new={invariants['rot_new']} "
-            f"bennequin {verdict} (slack {check['slack']})"
+            f"bennequin {verdict} (slack {check['slack']})\n"
         )
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(above), below
+
+
+def _matrix_text(rows) -> str:
+    """The linking matrix's lines, between every branch's components and determinant."""
+    width = max(len(str(x)) for row in rows for x in row)
+    lines = ("    [ " + "  ".join(str(x).rjust(width) for x in row) + " ]\n" for row in rows)
+    return "  linking matrix:\n" + "".join(lines)

@@ -71,10 +71,12 @@ MAX_BRANCH_BITS = 16
 # or without --signs: on tb -1, 1/128 takes under a second, 1/256 several;
 # the cap does not bound the digits of tb, and convert 1/128 on a
 # 300-digit tb takes about 4 s, on a 600-digit one about 15 s; nor does it
-# bound classes times components with MAX_BRANCH_BITS: every class is
-# rendered before the first write, so convert -809216/500123 on tb -1 (1024
-# classes of 128) writes 287 MB of JSON at a 312 MiB peak, until the
-# branches are streamed
+# bound classes times components with MAX_BRANCH_BITS: the linking matrix
+# is rendered once, but every class's component text and Component tuple
+# is built before the first write, and every branch prints the whole
+# matrix, so convert -809216/500123 on tb -1 (1024 classes of 128) writes
+# 287 MB of JSON at a 71 MiB peak, and 2^16 such classes would write about
+# 18 GB, until the branches are streamed
 MAX_COMPONENTS = 128
 # table --m-max 1000 takes about 1 s (0.87-1.20 s in three child processes,
 # Python 3.11, shared 2-CPU VM), and the work grows as m_max^2;

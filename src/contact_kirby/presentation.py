@@ -175,7 +175,17 @@ class Surgery:
         One row per component, read off the columns ``tbs`` and
         ``contact_signs``: chain entry j has ``counts[j]`` stabilizations,
         ``key[j]`` of them positive, and each moves the rot by its sign.
+        A key is refused unless it holds one ``int`` per chain entry, each
+        from 0 to its count, since ``zip`` would cut the link at a short one.
         """
+        require_type(InvalidInputError, "a class key", tuple, key)
+        if len(key) != len(self.counts) or not all(
+            type(pos) is int and 0 <= pos <= count for pos, count in zip(key, self.counts)
+        ):
+            raise InvalidInputError(
+                f"class key {echo_list(key)} must hold one positive count per chain "
+                f"entry, each from 0 to its count {echo_list(self.counts)}"
+            )
         if key in self.classes:
             return self.classes[key]
         # a (+1) push-off is a row with no stabilizations

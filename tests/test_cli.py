@@ -847,6 +847,22 @@ def rebuilt_presentation(pres, ext=None) -> dict:
     return doc
 
 
+def rebuilt_text(presentations) -> str:
+    """The ``--format table`` text of rebuilt presentation documents, each
+    written whole from the text printer's pieces."""
+    from contact_kirby import _presentations, cli
+
+    texts = []
+    for idx, doc in enumerate(presentations):
+        # the printer reads a class's components as the fragments it shares
+        above, below = _presentations._class_text(
+            dict(doc, components=[cli.Fragment(c) for c in doc["components"]])
+        )
+        heading = _presentations._presentation_heading(idx, len(presentations), doc["signs"])
+        texts.append(heading + above + _presentations._matrix_text(doc["linking_matrix"]) + below)
+    return "".join(texts)
+
+
 class TestBranchSplice:
     """Each branch is its class's text with its own signs spliced in.
 
@@ -898,16 +914,9 @@ class TestBranchSplice:
 
     @pytest.mark.parametrize("argv, lk", CASES)
     def test_text_equals_the_text_of_the_rebuilt_documents(self, capsys, argv, lk):
-        from contact_kirby import _presentations
-
         code, out, err = run_cli(capsys, *argv, "--format", "table")
         assert (code, err) == (0, "")
-        expected = self.expected(argv, lk)
-        assert out == "".join(
-            _presentations._presentation_heading(idx, len(expected), doc["signs"])
-            + _presentations._presentation_body(doc)
-            for idx, doc in enumerate(expected)
-        )
+        assert out == rebuilt_text(self.expected(argv, lk))
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_exit_3_prints_nothing(self, capsys, fmt):
@@ -971,33 +980,85 @@ class TestPresentationsWriter:
         assert (code, err.getvalue()) == (0, "")
         assert out.getvalue() == canonical_json(document) + "\n"
 
+    @settings(deadline=None, max_examples=60)
+    @given(surgeries())
+    def test_text_equals_the_text_of_the_rebuilt_document(self, surgery):
+        argv, document = surgery
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", "table"])
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue() == rebuilt_text(document["presentations"])
+
     @pytest.mark.parametrize("command", [("convert",), ("analyze", "--lk", "332")])
     def test_each_class_is_rendered_once_per_format(self, monkeypatch, capsys, command):
         from contact_kirby import _presentations, cli
 
-        rendered, bodies, documents = [], [], []
-        dump, body, to_json = cli._dump, _presentations._presentation_body, cli.canonical_json
+        branches = enumerate_presentations(LegendrianUnknot(-2, 1), Fraction(-82, 125))
+        classes = len({id(pres.components) for pres in branches})
+        assert classes == 60
+        entries = linking_matrix(branches[0]).entries
+        rendered, matrices, bodies, documents = [], [], [], []
+        dump, class_text, matrix_text = cli._dump, _presentations._class_text, _presentations._matrix_text
+        to_json = cli.canonical_json
 
         def dump_class(value, indent):
             if isinstance(value, dict) and "components" in value:
                 rendered.append(value)
+            if value == entries:
+                matrices.append(value)
             return dump(value, indent)
 
         monkeypatch.setattr(cli, "_dump", dump_class)
-        monkeypatch.setattr(_presentations, "_presentation_body", lambda doc: bodies.append(doc) or body(doc))
+        monkeypatch.setattr(_presentations, "_class_text", lambda doc: bodies.append(doc) or class_text(doc))
+        monkeypatch.setattr(
+            _presentations, "_matrix_text", lambda rows: matrices.append(rows) or matrix_text(rows)
+        )
         monkeypatch.setattr(cli, "canonical_json", lambda doc: documents.append(doc) or to_json(doc))
-        branches = enumerate_presentations(LegendrianUnknot(-2, 1), Fraction(-82, 125))
-        classes = len({id(pres.components) for pres in branches})
-        assert classes == 60
         argv = (*command, *TestBatchedStdout.DIAGRAM)
         assert run_cli(capsys, *argv)[0] == 0
         assert len(rendered) == len({id(doc) for doc in rendered}) == classes
-        assert (len(documents), bodies) == (1, [])
+        assert (len(documents), len(matrices), bodies) == (1, 1, [])
         rendered.clear()
+        matrices.clear()
         documents.clear()
         assert run_cli(capsys, *argv, "--format", "table")[0] == 0
         assert len(bodies) == len({id(doc) for doc in bodies}) == classes
         assert (rendered, documents) == ([], [])
+        assert matrices == [entries]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and charged at exec as on Linux")
+class TestManyClassesOfManyComponents:
+    """Every class is rendered before the first write, so classes times
+    components must stay within bounded memory: the one linking matrix is
+    rendered once, not once per class."""
+
+    # 1024 branches, each its own class of 128 components
+    ARGV = ("convert", "--tb", "-1", "--rot", "0", "--coeff", "-809216/500123")
+
+    # Linux charges a child's ru_maxrss with the resident set of the process
+    # that spawned it, as it was at exec, so a small parent spawns the child
+    # (stdout to /dev/null) and prints its exit code and ru_maxrss in KiB
+    MEASURED = (
+        "import os, sys\n"
+        "argv = [sys.executable, '-c', *sys.argv[1:]]\n"
+        "actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+        "pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=actions)\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+
+    @pytest.mark.parametrize("fmt, bound_mib", [("json", 160), ("table", 80)])
+    def test_peak_rss_is_bounded(self, fmt, bound_mib):
+        child = subprocess.run(
+            [sys.executable, "-c", self.MEASURED, ENTRY, *self.ARGV, "--format", fmt],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        code, maxrss_kib = map(int, child.stdout.split())
+        assert code == 0
+        assert maxrss_kib < bound_mib * 1024
 
 
 class TestBounds:

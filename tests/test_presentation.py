@@ -671,6 +671,35 @@ class TestClassesShareComponents:
         assert shared == [Presentation(k, r, (1, -1)), Presentation(k, r, (-1, 1))]
         assert shared[0].components is shared[1].components
 
+    # -7/3 on tb -1 is three chain entries with 2, 0 and 0 stabilizations
+    @pytest.mark.parametrize(
+        "key, shown",
+        [
+            ((0,), r"\[0\]"),
+            ((), r"\[\]"),
+            ((0, 0, 0, 0), r"\[0, 0, 0, 0\]"),
+            ((3, 0, 0), r"\[3, 0, 0\]"),
+            ((0, 1, 0), r"\[0, 1, 0\]"),
+            ((-1, 0, 0), r"\[-1, 0, 0\]"),
+            ((True, 0, 0), r"\[True, 0, 0\]"),
+            ((1.0, 0, 0), r"\[1.0, 0, 0\]"),
+            ((10 ** 30, 0, 0), r"\[a 31-digit integer,\.\.\. \(26 characters\)"),
+        ],
+        ids=["short", "empty", "long", "over", "over-empty-entry", "negative", "bool", "float", "huge"],
+    )
+    def test_a_malformed_class_key_is_refused(self, key, shown):
+        surgery = Surgery(LegendrianUnknot(-1, 0), Fraction(-7, 3))
+        assert (surgery.plus, surgery.counts) == (0, (2, 0, 0))
+        with pytest.raises(InvalidInputError, match=rf"^class key {shown} must hold .* \[2, 0, 0\]$"):
+            surgery.class_components(key)
+        assert surgery.classes == {}
+        assert len(surgery.class_components((2, 0, 0))) == 3
+
+    def test_a_class_key_is_a_tuple(self):
+        surgery = Surgery(LegendrianUnknot(-1, 0), Fraction(-7, 3))
+        with pytest.raises(InvalidInputError, match=r"a tuple \(got type list\)"):
+            surgery.class_components([1, 0, 0])
+
 
 def class_key(pres):
     """How many signs of each chain entry are positive."""
