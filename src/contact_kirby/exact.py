@@ -195,8 +195,16 @@ def continuants(diagonal: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(thetas[1:]))
 
 
-def apply(matrix, vector: Sequence[int | Fraction]) -> tuple:
-    """Exact matrix-vector product, returned as a tuple of Fractions."""
+def apply(matrix: IntMatrix | RationalMatrix, vector: Sequence[int | Fraction]) -> tuple:
+    """Exact matrix-vector product, returned as a tuple of Fractions.
+
+    The matrix is an :class:`IntMatrix` or a :class:`RationalMatrix`;
+    anything else is refused by its type name.
+    """
+    if not isinstance(matrix, _SquareMatrix):
+        raise InvalidInputError(
+            f"apply takes an IntMatrix or a RationalMatrix, got {type(matrix).__name__}"
+        )
     rows = matrix.entries
     v = [_as_fraction(x, "vector") for x in vector]
     if len(v) != len(rows):

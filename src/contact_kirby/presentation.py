@@ -134,11 +134,10 @@ class Surgery:
 
     Built once per (knot, coefficient) and handed to each branch.  It
     holds the conversion plan (``plus`` (+1) components, then one chain
-    entry per stabilization count in ``counts``; ``chunks`` pairs each
-    entry that has signs with their slice of the ``budget`` signs) and
-    every component's tb and contact sign, as the columns ``tbs`` and
-    ``contact_signs``.  A coefficient that converts into more than
-    ``bound`` components is refused.
+    entry per stabilization count in ``counts``, which sum to the
+    ``budget`` of signs) and every component's tb and contact sign, as
+    the columns ``tbs`` and ``contact_signs``.  A coefficient that
+    converts into more than ``bound`` components is refused.
     Two things are computed on first use and kept: the solve's terms
     (:meth:`solve_terms`) and the components of each class under its key
     (``classes``).  A class's components come from those columns in one
@@ -147,8 +146,8 @@ class Surgery:
     """
 
     __slots__ = (
-        "knot", "coefficient", "plus", "counts", "budget", "chunks", "tbs",
-        "contact_signs", "classes", "_terms",
+        "knot", "coefficient", "plus", "counts", "budget", "tbs", "contact_signs",
+        "classes", "_terms",
     )
 
     def __init__(
@@ -157,14 +156,10 @@ class Surgery:
         require_type(InvalidInputError, "a knot", LegendrianUnknot, knot)
         self.knot = knot
         self.coefficient = coefficient = _as_fraction(coefficient)
-        plus, counts, bounds = _conversion_plan(coefficient, bound)
-        self.plus, self.counts, self.budget = plus, counts, bounds[-1]
-        self.chunks = tuple(
-            (i, slice(start, stop))
-            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])) if stop > start
-        )
+        plus, counts = _conversion_plan(coefficient, bound)
+        self.plus, self.counts, self.budget = plus, counts, sum(counts)
         # a chain component's tb is the knot's less the stabilizations so far
-        self.tbs = (knot.tb,) * plus + tuple(knot.tb - b for b in bounds[1:])
+        self.tbs = (knot.tb,) * plus + tuple(knot.tb - s for s in itertools.accumulate(counts))
         self.contact_signs = (1,) * plus + (-1,) * len(counts)
         self.classes = {}
         self._terms = None
@@ -246,9 +241,11 @@ class Presentation(Value):
                 f"sign vector has length {echo_int(len(sign_choice))} but this "
                 f"conversion stabilizes {echo_int(surgery.budget)} times"
             )
-        key = [0] * len(surgery.counts)
-        for i, chunk in surgery.chunks:
-            key[i] = countOf(sign_choice[chunk], 1)
+        # in one pass: each chain entry takes the next counts[j] signs, and
+        # compress skips the entries with none, most of a long chain
+        counts, signs, key = surgery.counts, iter(sign_choice), [0] * len(surgery.counts)
+        for j in itertools.compress(itertools.count(), counts):
+            key[j] = countOf(itertools.islice(signs, counts[j]), 1)
         _set(self, "sign_choice", sign_choice)
         _set(self, "surgery", surgery)
         _set(self, "key", tuple(key))
@@ -388,17 +385,15 @@ def _peel_plus(p: int, q: int) -> tuple:
 
 
 def _conversion_plan(coefficient: Fraction, bound: int):
-    """The (+1) count, the chain's stabilization counts, and the bounds of their signs.
+    """The (+1) count and the chain's stabilization counts, whose sum is the budget.
 
-    The bounds are 0 and the running sums of the counts, so the last is
-    the stabilization budget.  Integer arithmetic throughout: entry a_i of
-    the residual's expansion (:func:`expand_negative`, every entry at most
-    -2) has -(a_i + 2) stabilizations.  Every branch has the same
-    components, and a coefficient with more than ``bound`` of them is
-    refused: the (+1) count is closed-form and the expansion is followed
-    at most one entry past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is
-    refused in bounded time.  A bound below 1 is refused: every
-    conversion has a component.
+    Integer arithmetic throughout: entry a_i of the residual's expansion
+    (:func:`expand_negative`, every entry at most -2) has -(a_i + 2)
+    stabilizations.  Every branch has the same components, and a
+    coefficient with more than ``bound`` of them is refused: the (+1)
+    count is closed-form and the expansion is followed at most one entry
+    past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is refused in bounded
+    time.  A bound below 1 is refused: every conversion has a component.
     """
     require_type(InvalidInputError, "a component bound", int, bound)
     if bound < 1:
@@ -411,7 +406,7 @@ def _conversion_plan(coefficient: Fraction, bound: int):
         counts[0] += 1  # the leading entry, shifted down by one
     if plus + len(counts) > bound:
         raise InvalidInputError(component_bound_message(coefficient, bound))
-    return plus, tuple(counts), tuple(itertools.accumulate(counts, initial=0))
+    return plus, tuple(counts)
 
 
 def component_bound_message(coefficient: Fraction, bound: int) -> str:
@@ -424,7 +419,7 @@ def component_bound_message(coefficient: Fraction, bound: int) -> str:
 
 def stabilization_budget(coefficient: Coefficient) -> int:
     """Total stabilizations any conversion of this coefficient must choose signs for."""
-    return _conversion_plan(_as_fraction(coefficient), COMPONENT_BOUND)[2][-1]
+    return sum(_conversion_plan(_as_fraction(coefficient), COMPONENT_BOUND)[1])
 
 
 def convert(
@@ -494,6 +489,7 @@ def linking_matrix(presentation: Presentation) -> IntMatrix:
     the tb of component i after its own stabilizations, by the
     parallel-copy rule.  Every branch of one surgery has the same matrix.
     """
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
     surgery = presentation.surgery
     tbs = list(surgery.tbs)
     n = len(tbs)
@@ -517,6 +513,7 @@ def slid_diagonal(presentation: Presentation) -> tuple:
     (t_i - t_{i-1}) + s_i + s_{i-1} and the entry between components i and
     i + 1 is -s_i, whose square is 1.
     """
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
     surgery = presentation.surgery
     return _slid(surgery.tbs, surgery.contact_signs)
 
@@ -537,16 +534,20 @@ def linking_vector(presentation: Presentation, ext: ExternalKnot) -> tuple:
     stabilization does not change linking numbers, so every entry equals
     the external knot's linking number with the original.
     """
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
+    require_type(InvalidInputError, "an external knot", ExternalKnot, ext)
     return (ext.lk_with_original,) * len(presentation.surgery.tbs)
 
 
 def rot_vector(presentation: Presentation) -> tuple:
     """Component-wise rotation numbers, in component order."""
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
     return tuple(c.knot.rot for c in presentation.components)
 
 
 def mirror(presentation: Presentation) -> Presentation:
     """The mirror presentation: every rot negated, stabilization signs flipped."""
+    require_type(InvalidInputError, "a presentation", Presentation, presentation)
     return Presentation(
         legendrian.mirror(presentation.source_knot),
         presentation.source_coefficient,

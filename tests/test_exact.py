@@ -156,6 +156,14 @@ class TestInvert:
 
 
 class TestApply:
+    @pytest.mark.parametrize("matrix", [[[1]], ((1,),), None, 1])
+    def test_refuses_anything_but_an_int_or_a_rational_matrix(self, matrix):
+        with pytest.raises(InvalidInputError) as caught:
+            apply(matrix, [1])
+        assert str(caught.value) == (
+            f"apply takes an IntMatrix or a RationalMatrix, got {type(matrix).__name__}"
+        )
+
     def test_chain_inverse_m2(self):
         minv = invert(M2)
         assert apply(minv, (1, 1, 1)) == (Fraction(3), Fraction(-1), Fraction(-1))

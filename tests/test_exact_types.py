@@ -1,9 +1,13 @@
 """The exact-type rule: every check of a parameter's type, with its whole message.
 
-A tb, rot, m, n, linking number, bound, sign, knot, presentation or
-diagram given as ``True``, ``1.0`` or ``None`` is refused with the
-check's own exception class and text, and the gate's refusal names its
-condition.
+A tb, rot, m, n, linking number, bound, sign, knot, external knot,
+presentation or diagram given as ``True``, ``1.0`` or ``None`` is
+refused with the check's own exception class and text, and the gate's
+refusal names its condition.  Every public function that reads a
+presentation (the linking matrix, its slid diagonal, the linking and
+rotation columns, the mirror, and the two invariant solves) refuses
+anything but a ``Presentation`` with one message, where it would
+otherwise fail on a missing attribute.
 """
 
 from fractions import Fraction
@@ -18,7 +22,17 @@ from contact_kirby.legendrian import (
     kirby_topological_condition,
     stabilize,
 )
-from contact_kirby.presentation import Presentation, Surgery, convert, expand_negative
+from contact_kirby.presentation import (
+    Presentation,
+    Surgery,
+    convert,
+    expand_negative,
+    linking_matrix,
+    linking_vector,
+    mirror,
+    rot_vector,
+    slid_diagonal,
+)
 from contact_kirby.transform import (
     bennequin,
     framing_unknot_tb_shift,
@@ -96,6 +110,42 @@ CASES = [
      InvalidInputError, "a component bound must be an integer (got type float)"),
     ("presentation._conversion_plan", lambda: Surgery(KNOT, 2, None), InvalidInputError,
      "a component bound must be an integer (got type NoneType)"),
+    ("presentation.linking_matrix", lambda: linking_matrix(True), InvalidInputError,
+     "a presentation must be a Presentation (got type bool)"),
+    ("presentation.linking_matrix", lambda: linking_matrix(1.0), InvalidInputError,
+     "a presentation must be a Presentation (got type float)"),
+    ("presentation.linking_matrix", lambda: linking_matrix(None), InvalidInputError,
+     "a presentation must be a Presentation (got type NoneType)"),
+    ("presentation.slid_diagonal", lambda: slid_diagonal(True), InvalidInputError,
+     "a presentation must be a Presentation (got type bool)"),
+    ("presentation.slid_diagonal", lambda: slid_diagonal(1.0), InvalidInputError,
+     "a presentation must be a Presentation (got type float)"),
+    ("presentation.slid_diagonal", lambda: slid_diagonal(None), InvalidInputError,
+     "a presentation must be a Presentation (got type NoneType)"),
+    ("presentation.rot_vector", lambda: rot_vector(True), InvalidInputError,
+     "a presentation must be a Presentation (got type bool)"),
+    ("presentation.rot_vector", lambda: rot_vector(1.0), InvalidInputError,
+     "a presentation must be a Presentation (got type float)"),
+    ("presentation.rot_vector", lambda: rot_vector(None), InvalidInputError,
+     "a presentation must be a Presentation (got type NoneType)"),
+    ("presentation.mirror", lambda: mirror(True), InvalidInputError,
+     "a presentation must be a Presentation (got type bool)"),
+    ("presentation.mirror", lambda: mirror(1.0), InvalidInputError,
+     "a presentation must be a Presentation (got type float)"),
+    ("presentation.mirror", lambda: mirror(None), InvalidInputError,
+     "a presentation must be a Presentation (got type NoneType)"),
+    ("presentation.linking_vector presentation", lambda: linking_vector(True, EXT),
+     InvalidInputError, "a presentation must be a Presentation (got type bool)"),
+    ("presentation.linking_vector presentation", lambda: linking_vector(1.0, EXT),
+     InvalidInputError, "a presentation must be a Presentation (got type float)"),
+    ("presentation.linking_vector presentation", lambda: linking_vector(None, EXT),
+     InvalidInputError, "a presentation must be a Presentation (got type NoneType)"),
+    ("presentation.linking_vector ext", lambda: linking_vector(PRES, True),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type bool)"),
+    ("presentation.linking_vector ext", lambda: linking_vector(PRES, 1.0),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type float)"),
+    ("presentation.linking_vector ext", lambda: linking_vector(PRES, None),
+     InvalidInputError, "an external knot must be an ExternalKnot (got type NoneType)"),
     ("transform.framing_unknot_tb_shift sign", lambda: framing_unknot_tb_shift(True, -1),
      InvalidInputError, "topological surgery sign must be +1 or -1, got True"),
     ("transform.framing_unknot_tb_shift sign", lambda: framing_unknot_tb_shift(-1.0, -1),
