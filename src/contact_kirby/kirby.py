@@ -167,7 +167,7 @@ def classify(diagram: CandidateDiagram) -> CandidateReport:
     """Run the full screening of one gated candidate.
 
     Every stabilization branch of the (+/-1)-conversion is measured: the
-    branches share one surgery, whose continuant solve runs once, and each
+    branches share one surgery, whose solve terms are set once, and each
     then costs one integer dot product, with no components built.  The
     topological framing unknot (tb -1, rot 0, linking number equal to the
     framing branch sign) bounds a disk after surgery, so a Bennequin

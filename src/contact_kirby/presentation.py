@@ -17,8 +17,8 @@ deterministically, by a link of contact (+1)- and (-1)-surgeries:
 Each stabilization consumes one sign from the caller, so a conversion
 with s stabilizations has 2^s distinct presentations.  What they share
 is one :class:`Surgery`: the conversion plan, every component's tb and
-contact sign (none depends on the signs), and, once something solves
-for invariants, the continuants of the linking matrix.  A presentation
+contact sign, and the terms of the invariant solve, read off the plan's
+Euclid walk (none depends on the signs).  A presentation
 is its surgery, its signs and its class key, and equals another exactly
 when their knots, coefficients and signs agree: ``Presentation(k, r, s)
 == convert(k, r, s)``.  How many signs of each chain entry are positive,
@@ -138,16 +138,23 @@ class Surgery:
     ``budget`` of signs) and every component's tb and contact sign, as
     the columns ``tbs`` and ``contact_signs``.  A coefficient that
     converts into more than ``bound`` components is refused.
-    Two things are computed on first use and kept: the solve's terms
-    (:meth:`solve_terms`) and the components of each class under its key
-    (``classes``).  A class's components come from those columns in one
-    loop, one row per component; a (+1) push-off is a row with no
-    stabilizations, so it keeps the knot's tb and rot.
+
+    ``solve_terms`` is ``(det, theta_2, offset, weights)``, all that
+    :func:`transform.invariants_after_surgery` solves with: det M, the
+    second trailing continuant of the slid linking matrix, and the
+    ``offset`` and one weight per chain entry that make a branch's rot
+    pairing ``offset`` plus the dot product of its class key with
+    ``weights``.  They are read off the plan's Euclid walk in closed
+    form, by the slam-dunk identity of :mod:`transform`.
+    The components of each class are built on first use and kept under
+    its key (``classes``), one row per component in one loop over those
+    columns; a (+1) push-off is a row with no stabilizations, so it keeps
+    the knot's tb and rot.
     """
 
     __slots__ = (
         "knot", "coefficient", "plus", "counts", "budget", "tbs", "contact_signs",
-        "classes", "_terms",
+        "solve_terms", "classes",
     )
 
     def __init__(
@@ -156,13 +163,23 @@ class Surgery:
         require_type(InvalidInputError, "a knot", LegendrianUnknot, knot)
         self.knot = knot
         self.coefficient = coefficient = _as_fraction(coefficient)
-        plus, counts = _conversion_plan(coefficient, bound)
+        plus, counts, dens = _conversion_plan(coefficient, bound)
         self.plus, self.counts, self.budget = plus, counts, sum(counts)
         # a chain component's tb is the knot's less the stabilizations so far
         self.tbs = (knot.tb,) * plus + tuple(knot.tb - s for s in itertools.accumulate(counts))
         self.contact_signs = (1,) * plus + (-1,) * len(counts)
+        # r = p/q, L chain entries, alt = (-1)^L, eps = alt sign(p); chain
+        # entry j, of Euclid denominator Q_j, has half-weight -alt Q_j
+        p, q = coefficient.numerator, coefficient.denominator
+        alt = -1 if len(counts) % 2 else 1
+        eps = alt if p > 0 else -alt
+        halves = [-alt * den for den in dens]
+        theta_2 = eps * q
+        # the rot pairing: the knot's rot times theta_2, then chain entry j
+        # adds 2 pos_j - count_j half-weights
+        offset = knot.rot * theta_2 - sum(map(mul, counts, halves))
+        self.solve_terms = eps * (p + q * knot.tb), theta_2, offset, tuple(2 * h for h in halves)
         self.classes = {}
-        self._terms = None
 
     def class_components(self, key: tuple) -> tuple:
         """The components of the class with positive counts ``key``, built on first call.
@@ -191,26 +208,6 @@ class Surgery:
             built.append(Component(index, LegendrianUnknot(tb, rot), sign, pos, count - pos))
         components = self.classes[key] = tuple(built)
         return components
-
-    def solve_terms(self) -> tuple:
-        """``(thetas, offset, weights)``, computed on first call.
-
-        ``thetas`` are the trailing continuants of the slid linking matrix
-        (:func:`slid_diagonal`), theta_1 = det M first.  With r_k the rot
-        and s_k the contact sign of component k, the pairing
-        sum_k (r_k - r_{k-1}) (s_1 ... s_{k-1}) theta_{k+1} that the rot
-        solve needs is ``offset`` plus the dot product of a branch's class
-        key with ``weights``: r_1 - r_0 is the knot's rot, a (+1)
-        push-off adds nothing, and chain entry j adds 2 pos_j - count_j,
-        where every chain sign is -1.
-        """
-        if self._terms is None:
-            thetas = continuants(_slid(self.tbs, self.contact_signs))
-            # (s_1 ... s_{k-1}) theta_{k+1} for the chain components k
-            halves = [-t if j % 2 else t for j, t in enumerate(thetas[self.plus + 1:])]
-            offset = self.knot.rot * thetas[1] - sum(map(mul, self.counts, halves))
-            self._terms = thetas, offset, tuple(2 * h for h in halves)
-        return self._terms
 
 
 class Presentation(Value):
@@ -334,14 +331,15 @@ def expand_negative(r: Coefficient, bound: int = COMPONENT_BOUND) -> CFExpansion
 
 
 def _floor_expansion(p: int, q: int):
-    """Yield c = floor(x), then continue with x <- 1/(c - x), until x == c, for x = p/q.
+    """Yield (c, q), c = floor(x), then continue with x <- 1/(c - x), until x == c, for x = p/q.
 
     Integer Euclid: with p = c q + rest (0 <= rest < q), c - x = -rest/q,
-    so the next x is -q/rest.
+    so the next x is -q/rest.  For p and q coprime each x stays in lowest
+    terms, so the q yielded is its denominator, and the last is 1.
     """
     while True:
         c, rest = divmod(p, q)
-        yield c
+        yield c, q
         if rest == 0:
             return
         p, q = -q, rest
@@ -385,28 +383,30 @@ def _peel_plus(p: int, q: int) -> tuple:
 
 
 def _conversion_plan(coefficient: Fraction, bound: int):
-    """The (+1) count and the chain's stabilization counts, whose sum is the budget.
+    """The (+1) count, the chain's stabilization counts and its Euclid denominators.
 
     Integer arithmetic throughout: entry a_i of the residual's expansion
     (:func:`expand_negative`, every entry at most -2) has -(a_i + 2)
-    stabilizations.  Every branch has the same components, and a
-    coefficient with more than ``bound`` of them is refused: the (+1)
-    count is closed-form and the expansion is followed at most one entry
-    past the bound, so 1/10^9 or -(10^9 + 1)/10^9 is refused in bounded
-    time.  A bound below 1 is refused: every conversion has a component.
+    stabilizations, and its Euclid denominator is that of the walk's x
+    when a_i is read off it.  The counts sum to the budget.  Every branch
+    has the same components, and a coefficient with more than ``bound``
+    of them is refused: the (+1) count is closed-form and the expansion
+    is followed at most one entry past the bound, so 1/10^9 or
+    -(10^9 + 1)/10^9 is refused in bounded time.  A bound below 1 is
+    refused: every conversion has a component.
     """
     require_type(InvalidInputError, "a component bound", int, bound)
     if bound < 1:
         raise InvalidInputError(f"a component bound must be at least 1 (got {echo_int(bound)})")
     plus, residual = _peel_plus(coefficient.numerator, coefficient.denominator)
-    counts = []
+    counts, dens = [], ()
     if residual is not None and plus <= bound:
-        chain = itertools.islice(_floor_expansion(*residual), bound + 1 - plus)
-        counts = [-(c + 2) for c in chain]
+        entries, dens = zip(*itertools.islice(_floor_expansion(*residual), bound + 1 - plus))
+        counts = [-(c + 2) for c in entries]
         counts[0] += 1  # the leading entry, shifted down by one
     if plus + len(counts) > bound:
         raise InvalidInputError(component_bound_message(coefficient, bound))
-    return plus, tuple(counts)
+    return plus, tuple(counts), dens
 
 
 def component_bound_message(coefficient: Fraction, bound: int) -> str:
@@ -501,30 +501,6 @@ def linking_matrix(presentation: Presentation) -> IntMatrix:
         row.extend([tb] * (n - 1 - i))
         rows.append(row)
     return IntMatrix(rows)
-
-
-def slid_diagonal(presentation: Presentation) -> tuple:
-    """Diagonal of the linking matrix after sliding each component over its predecessor.
-
-    The handle slides P (row i of P is e_i - e_{i-1}) turn M, whose
-    off-diagonal entries are tb[min(i, j)], into the tridiagonal matrix
-    P M P^T of the same determinant.  With t_i the tb and s_i the contact
-    sign of component i (1-based, t_0 = s_0 = 0), its diagonal entries are
-    (t_i - t_{i-1}) + s_i + s_{i-1} and the entry between components i and
-    i + 1 is -s_i, whose square is 1.
-    """
-    require_type(InvalidInputError, "a presentation", Presentation, presentation)
-    surgery = presentation.surgery
-    return _slid(surgery.tbs, surgery.contact_signs)
-
-
-def _slid(tbs: tuple, signs: tuple) -> tuple:
-    diagonal = []
-    tb_prev = sign_prev = 0
-    for tb, sign in zip(tbs, signs):
-        diagonal.append(tb - tb_prev + sign + sign_prev)
-        tb_prev, sign_prev = tb, sign
-    return tuple(diagonal)
 
 
 def linking_vector(presentation: Presentation, ext: ExternalKnot) -> tuple:

@@ -9,40 +9,43 @@ components' rotation numbers:
     tb_new(K0)  = tb(K0)  - <L, M^-1 L>
 
 :func:`invariants_after_surgery`, the one entry point of the screen,
-solves for both invariants at once and never inverts M.  Sliding each
-component over its predecessor (the handle slides P, row i of P equal to e_i - e_{i-1}) makes P M P^T
-tridiagonal: the linear plumbing of the lens space that the surgery
-produces.  With t_i, s_i and r_i the tb, contact sign and rot of
-component i (1-based, all zero at i = 0), its diagonal is
-a_i = (t_i - t_{i-1}) + s_i + s_{i-1} and its off-diagonal entries are
--s_i, whose square is 1.  The trailing continuants
-
-    theta_{n+1} = 1,  theta_{n+2} = 0,  theta_k = a_k theta_{k+1} - theta_{k+2}
-
-give det M = theta_1, and theta_k / theta_{k+1} is the negative
-continued fraction [a_k, ..., a_n] wherever no later theta is zero
-(:func:`presentation.evaluate_cf` returns theta_1 / theta_2).  Every
-entry of L is the same linking number lk, so P L = lk e_1 and
+solves for both invariants at once and never builds or inverts M.
+Sliding each component over its predecessor (the handle slides P, row
+i of P equal to e_i - e_{i-1}) makes P M P^T tridiagonal, a linear
+chain whose off-diagonal entries have square 1, and P L = lk e_1, since
+every entry of L is the same linking number lk.  With theta_k the
+determinant of the slid chain from component k on (theta_1 = det M,
+theta_{n+1} = 1) and r_k, s_k the rot and contact sign of component k
+(r_0 = 0),
 
     <L, M^-1 L> = lk^2 theta_2 / theta_1
     <C, M^-1 L> = lk sum_k (r_k - r_{k-1}) (s_1 ... s_{k-1}) theta_{k+1} / theta_1
 
-Every numerator is an integer and the only division is the final
-reduction by theta_1, so a zero continuant part-way along the chain (at
-a (+1) component) needs no pivoting, and theta_1 = 0 means M is
-singular.  Neither M nor the thetas depend on the stabilization signs,
-and the rot steps r_k - r_{k-1} are affine in the branch's class key
-(the positive sign count of each chain entry), so the thetas and the
-weights of that sum are computed once per surgery
-(:meth:`presentation.Surgery.solve_terms`, linear in the number of
-components).  Each branch then costs one integer dot product and two
-exact divisions, and builds no components.
+(tests/oracles.py computes every theta from the entries of M by the
+three-term recurrence).  None is computed here: each is a numerator or
+denominator of a slam-dunk (Gompf-Stipsicz, section 5.3; Ding-Geiges),
+which collapses the chain after a component back into one rational
+surgery on it, and the conversion's Euclid walk passes through every
+such coefficient.  Chain entry j is read off the walk's x_j = P_j / Q_j,
+in lowest terms, so the chain after it has determinant +/- Q_j; the
+whole link collapses back into topological (tb + p/q)-surgery on the
+knot, so det M = +/- (p + q tb) and theta_2 = +/- q.  Each chain entry,
+at most -2, flips a sign: with L chain entries, alt = (-1)^L and eps =
+alt sign(p), det M = eps (p + q tb), theta_2 = eps q, and the term
+(s_1 ... s_{k-1}) theta_{k+1} of chain entry j is -alt Q_j
+(:attr:`presentation.Surgery.solve_terms`).  Neither M nor the thetas
+depend on the stabilization signs, and the rot steps r_k - r_{k-1} are
+affine in the branch's class key (the positive sign count of each chain
+entry), so each branch costs one integer dot product and two exact
+divisions, and builds no components.  Every numerator is an integer and
+the only division is the final reduction by det M, so det M = 0 means
+M is singular.
 
 :func:`invariants_by_inverse` is the general path: the dense Bareiss
 inverse of :mod:`exact` applied to M itself.  ``analyze``, which prints
 M and its determinant for one diagram, reports the invariants of that
 printed matrix by this path; the screening of whole families
-(``classify``, ``table``) goes through the continuants.
+(``classify``, ``table``) goes through the slam-dunk terms.
 
 The results are only honest integers when they are integral rationals
 (always the case when |det M| = 1); a non-integral outcome raises
@@ -120,21 +123,20 @@ def _quotient(numerator: int, denominator: int, what: str) -> int:
 def invariants_after_surgery(
     presentation: Presentation, ext: ExternalKnot
 ) -> PostSurgeryInvariants:
-    """Both post-surgery invariants from the surgery's one continuant solve.
+    """Both post-surgery invariants from the surgery's solve terms, no matrix built.
 
     tb is checked for integrality first, so a presentation where both
     come out non-integral raises about tb.
     """
     require_type(InvalidInputError, "a presentation", Presentation, presentation)
     require_type(InvalidInputError, "an external knot", ExternalKnot, ext)
-    thetas, offset, weights = presentation.surgery.solve_terms()
-    det = thetas[0]
+    det, theta_2, offset, weights = presentation.surgery.solve_terms
     if det == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
     lk = ext.lk_with_original
     pairing = sum(map(mul, presentation.key, weights), offset)  # <C, M^-1 L> = lk * pairing / det
     return PostSurgeryInvariants(
-        _quotient(ext.knot.tb * det - lk * lk * thetas[1], det, "Thurston-Bennequin number"),
+        _quotient(ext.knot.tb * det - lk * lk * theta_2, det, "Thurston-Bennequin number"),
         _quotient(ext.knot.rot * det - lk * pairing, det, "rotation number"),
     )
 

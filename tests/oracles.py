@@ -64,6 +64,66 @@ def gauss_solve(rows, rhs):
     return x
 
 
+def slid_diagonal(rows):
+    """Diagonal of P M P^T, row i of P equal to e_i - e_{i-1}, read off the entries of M.
+
+    P slides each component over its predecessor; entry i is
+    M[i][i] - 2 M[i][i-1] + M[i-1][i-1], and entry 0 is M[0][0].
+    """
+    return [rows[0][0]] + [
+        rows[i][i] - 2 * rows[i][i - 1] + rows[i - 1][i - 1] for i in range(1, len(rows))
+    ]
+
+
+def solve_terms(rows, signs, tb, rot):
+    """``(theta_1, theta_2, offset, weights)`` of a presentation, entry by entry.
+
+    ``rows`` is the linking matrix M, ``signs`` the contact signs of the
+    components, and ``tb`` and ``rot`` the surgery knot's.  M has
+    off-diagonal entries t[min(i, j)], t the tbs, so the handle slides P
+    (:func:`slid_diagonal`) make P M P^T tridiagonal, with diagonal
+    a_i = (t_i - t_{i-1}) + s_i + s_{i-1} (1-based, t_0 = s_0 = 0) and
+    entry b_i = -s_i between components i and i + 1.  Its trailing
+    continuants
+
+        theta_{n+1} = 1,  theta_{n+2} = 0,  theta_k = a_k theta_{k+1} - b_k^2 theta_{k+2}
+
+    are the determinants of its trailing blocks, theta_1 = det M.  Every
+    entry of the linking column L is one lk, so P L = lk e_1, and solving
+    the chain for e_1 gives
+
+        <L, M^-1 L> = lk^2 theta_2 / theta_1
+        <C, M^-1 L> = lk sum_k (r_k - r_{k-1}) (-b_1) ... (-b_{k-1}) theta_{k+1} / theta_1
+
+    for the rots r_k (r_0 = 0).  The step r_1 - r_0 holds the knot's
+    rot, a (+1) component steps by nothing, and a (-1) component with
+    ``count`` = t_{k-1} - t_k stabilizations (the knot's tb in place of
+    t_0) steps by 2 pos - count for its ``pos`` positive ones.  So the
+    sum is ``offset`` plus the dot product of the positive counts of the
+    (-1) components with ``weights``.
+    """
+    n = len(rows)
+    diagonal = slid_diagonal(rows)
+    # b_i between components i and i + 1, 0-based, from the entries of M
+    above = [0] * (n + 1)
+    for i in range(n - 1):
+        before = rows[i - 1][i + 1] - rows[i - 1][i] if i else 0
+        above[i] = rows[i][i + 1] - rows[i][i] - before
+    thetas = [0, 1]  # theta_{n+2}, theta_{n+1}, then built back to front
+    for i in range(n - 1, -1, -1):
+        thetas.append(diagonal[i] * thetas[-1] - above[i] ** 2 * thetas[-2])
+    thetas.reverse()  # theta_1, ..., theta_{n+2}
+    offset, weights, product, tb_before = rot * thetas[1], [], 1, tb
+    for i in range(n):
+        tb_here = rows[i][i] - signs[i]
+        if signs[i] == -1:
+            term = product * thetas[i + 1]
+            offset -= (tb_before - tb_here) * term
+            weights.append(2 * term)
+        product, tb_before = -above[i] * product, tb_here
+    return thetas[0], thetas[1], offset, tuple(weights)
+
+
 def cf_convergent_value(coeffs):
     """Value of c1 - 1/(c2 - 1/(...)) via the convergent recurrence."""
     p_prev, p = 1, coeffs[0]

@@ -4,10 +4,10 @@ A tb, rot, m, n, linking number, bound, sign, knot, external knot,
 presentation or diagram given as ``True``, ``1.0`` or ``None`` is
 refused with the check's own exception class and text, and the gate's
 refusal names its condition.  Every public function that reads a
-presentation (the linking matrix, its slid diagonal, the linking and
-rotation columns, the mirror, and the two invariant solves) refuses
-anything but a ``Presentation`` with one message, where it would
-otherwise fail on a missing attribute.
+presentation (the linking matrix, the linking and rotation columns,
+the mirror, and the two invariant solves) refuses anything but a
+``Presentation`` with one message, where it would otherwise fail on a
+missing attribute.
 """
 
 from fractions import Fraction
@@ -31,7 +31,6 @@ from contact_kirby.presentation import (
     linking_vector,
     mirror,
     rot_vector,
-    slid_diagonal,
 )
 from contact_kirby.transform import (
     bennequin,
@@ -115,12 +114,6 @@ CASES = [
     ("presentation.linking_matrix", lambda: linking_matrix(1.0), InvalidInputError,
      "a presentation must be a Presentation (got type float)"),
     ("presentation.linking_matrix", lambda: linking_matrix(None), InvalidInputError,
-     "a presentation must be a Presentation (got type NoneType)"),
-    ("presentation.slid_diagonal", lambda: slid_diagonal(True), InvalidInputError,
-     "a presentation must be a Presentation (got type bool)"),
-    ("presentation.slid_diagonal", lambda: slid_diagonal(1.0), InvalidInputError,
-     "a presentation must be a Presentation (got type float)"),
-    ("presentation.slid_diagonal", lambda: slid_diagonal(None), InvalidInputError,
      "a presentation must be a Presentation (got type NoneType)"),
     ("presentation.rot_vector", lambda: rot_vector(True), InvalidInputError,
      "a presentation must be a Presentation (got type bool)"),

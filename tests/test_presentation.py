@@ -30,13 +30,12 @@ from contact_kirby.presentation import (
     linking_vector,
     mirror,
     rot_vector,
-    slid_diagonal,
     stabilization_budget,
 )
 
 from contact_kirby.transform import invariants_after_surgery
 
-from oracles import cf_back_value, cf_convergent_value, chain_family_matrix
+from oracles import cf_back_value, cf_convergent_value, chain_family_matrix, slid_diagonal
 
 
 def random_valid_unknot(rng, max_m=6):
@@ -286,7 +285,8 @@ class TestLinkingData:
                     assert matrix[i][j] == matrix[j][i]
 
     def test_determinant_matches_surgery_homology(self):
-        # |det M| equals |p + q tb| for contact p/q surgery on a tb unknot
+        # |det M| equals |p + q tb| for contact p/q surgery on a tb unknot, and
+        # det M itself is eps (p + q tb), eps = sign(p) (-1)^L for L chain entries
         rng = random.Random(6174)
         for _ in range(150):
             k = random_valid_unknot(rng)
@@ -299,6 +299,9 @@ class TestLinkingData:
             pres = convert(k, r, signs)
             expected = abs(r.numerator + r.denominator * k.tb)
             assert abs(det(linking_matrix(pres))) == expected
+            chain = sum(c.contact_sign == -1 for c in pres.components)
+            eps = (1 if num > 0 else -1) * (-1) ** chain
+            assert det(linking_matrix(pres)) == eps * (r.numerator + r.denominator * k.tb)
 
     def test_handle_slides_make_the_matrix_tridiagonal(self):
         rng = random.Random(2718)
@@ -323,7 +326,7 @@ class TestLinkingData:
                 for i in range(n)
             ]
             expected = [[0] * n for _ in range(n)]
-            for i, a in enumerate(slid_diagonal(pres)):
+            for i, a in enumerate(slid_diagonal(m)):
                 expected[i][i] = a
             for i, comp in enumerate(pres.components[:-1]):
                 expected[i][i + 1] = expected[i + 1][i] = -comp.contact_sign

@@ -2,7 +2,8 @@
 
 The seeded tests beside these stay; here hypothesis draws the same
 surgeries (tb -1..-6, |p| <= 30, q <= 8, budget <= 9) and the signs of
-one branch of each.
+one branch of each.  The solve terms are also drawn far wider: tbs of
+up to 300 digits, |p| and q up to 10^6, and long runs of -2 entries.
 """
 
 import itertools
@@ -11,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contact_kirby.errors import NonIntegralInvariantError, SingularMatrixError
+from contact_kirby.errors import InvalidInputError, NonIntegralInvariantError, SingularMatrixError
 from contact_kirby.exact import det
 from contact_kirby.legendrian import ExternalKnot, LegendrianUnknot
 from contact_kirby.presentation import (
+    Surgery,
     convert,
     enumerate_presentations,
     evaluate_cf,
@@ -29,7 +31,7 @@ from contact_kirby.presentation import (
 )
 from contact_kirby.transform import invariants_after_surgery, invariants_by_inverse
 
-from oracles import cf_convergent_value, gauss_solve
+from oracles import cf_convergent_value, gauss_solve, solve_terms
 
 
 @st.composite
@@ -83,6 +85,47 @@ def test_continued_fraction_round_trip(p, q):
 def test_determinant_is_the_order_of_the_homology(branch):
     knot, r, pres = branch
     assert abs(det(linking_matrix(pres))) == abs(r.numerator + r.denominator * knot.tb)
+    # and its sign: eps = sign(p) (-1)^L for the L (-1) components
+    chain = sum(c.contact_sign == -1 for c in pres.components)
+    eps = (1 if r > 0 else -1) * (-1) ** chain
+    assert det(linking_matrix(pres)) == eps * (r.numerator + r.denominator * knot.tb)
+
+
+@st.composite
+def solve_knots(draw):
+    """A knot of tb -9..-1, or of a 50- or 300-digit tb."""
+    tb = draw(
+        st.integers(-9, -1)
+        | st.integers(10 ** 49, 10 ** 50 - 1).map(lambda t: -t)
+        | st.integers(10 ** 299, 10 ** 300 - 1).map(lambda t: -t)
+    )
+    return LegendrianUnknot(tb, tb + 1 + 2 * draw(st.integers(0, -tb - 1)))
+
+
+# |p| and q up to 10^6, or -(k q + 1)/q, whose chain ends in a run of q - 1 entries -2
+solve_coefficients = st.builds(
+    Fraction,
+    st.integers(1, 10 ** 6).flatmap(lambda p: st.sampled_from((p, -p))),
+    st.integers(1, 10 ** 6),
+) | st.builds(lambda k, q: Fraction(-(k * q + 1), q), st.integers(0, 10 ** 6), st.integers(1, 512))
+
+
+@settings(deadline=None)
+@given(solve_knots(), solve_coefficients)
+@example(LegendrianUnknot(-1, 0), Fraction(-(3 * 512 + 1), 512))
+@example(LegendrianUnknot(-10 ** 300, 1 - 10 ** 300), Fraction(10 ** 6, 999_999))
+def test_solve_terms_are_the_per_entry_solve(knot, r):
+    """The terms read off the conversion plan equal those read off the linking matrix.
+
+    The oracle reads the n x n matrix, so a surgery stays at 512 components.
+    """
+    try:
+        surgery = Surgery(knot, r, 512)
+    except InvalidInputError:
+        surgery = None
+    assume(surgery is not None)
+    rows = linking_matrix(convert(knot, r, (1,) * surgery.budget, surgery)).entries
+    assert surgery.solve_terms == solve_terms(rows, surgery.contact_signs, knot.tb, knot.rot)
 
 
 @given(branches())
