@@ -1,7 +1,7 @@
 """The exact-type rule: every check of a parameter's type, with its whole message.
 
-A tb, rot, m, n, linking number, bound, sign, knot, external knot,
-presentation or diagram given as ``True``, ``1.0`` or ``None`` is
+A tb, rot, m, n, linking number, bound, sign, class key, knot, external
+knot, presentation or diagram given as ``True``, ``1.0`` or ``None`` is
 refused with the check's own exception class and text, and the gate's
 refusal names its condition.  Every public function that reads a
 presentation (the linking matrix, the linking and rotation columns,
@@ -99,6 +99,12 @@ CASES = [
      "a knot must be a LegendrianUnknot (got type float)"),
     ("presentation.Surgery", lambda: Surgery(None, -2), InvalidInputError,
      "a knot must be a LegendrianUnknot (got type NoneType)"),
+    ("presentation.Surgery.class_components", lambda: Surgery(KNOT, -2).class_components(True),
+     InvalidInputError, "a class key must be a tuple (got type bool)"),
+    ("presentation.Surgery.class_components", lambda: Surgery(KNOT, -2).class_components(1.0),
+     InvalidInputError, "a class key must be a tuple (got type float)"),
+    ("presentation.Surgery.class_components", lambda: Surgery(KNOT, -2).class_components(None),
+     InvalidInputError, "a class key must be a tuple (got type NoneType)"),
     ("presentation._surgery_of", lambda: Presentation(KNOT, -2, (), True), InvalidInputError,
      "a surgery must be a Surgery (got type bool)"),
     ("presentation._surgery_of", lambda: Presentation(KNOT, -2, (), 1.0), InvalidInputError,
